@@ -40,6 +40,22 @@ from .sections import holonomy, make_section, section_point
 
 COMMANDS = ("holonomy", "rset", "expansivity", "entropy", "uef", "demo")
 
+_SAMPLING_KEYS = ("tol", "x_range", "disk_radius_max")
+# the params each command's _run_* reads; any other key is rejected
+PARAM_KEYS = {
+    "holonomy": ("beta", "n_samples", "n_bases", "t", "t_choices",
+                 "domain_frac") + _SAMPLING_KEYS,
+    "rset": ("beta", "t", "n_max", "resolution", "n_points", "gamma",
+             "gamma_factor", "direction") + _SAMPLING_KEYS,
+    "expansivity": ("beta", "t", "n_max", "resolution", "n_points")
+    + _SAMPLING_KEYS,
+    "entropy": ("count", "grid", "jitter", "eps_list", "t_list", "orbit_step",
+                "fit_window") + _SAMPLING_KEYS,
+    "uef": ("eta", "beta", "t", "horizon_budget", "n_points", "n_directions")
+    + _SAMPLING_KEYS,
+    "demo": (),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -82,6 +98,9 @@ def validate(config: ExperimentConfig):
     p = config.params
     if bad:
         return bad
+    unknown = sorted(set(p) - set(PARAM_KEYS[config.command]))
+    if unknown:
+        bad.append(f"unknown {config.command} params: {', '.join(unknown)}")
     flow = get_flow(config.flow)
     beta = p.get("beta")
     if beta is not None and beta > flow.rescale.beta0 + 1e-12:
@@ -295,11 +314,8 @@ def _run_expansivity(config, outdir):
 def _run_entropy(config, outdir):
     flow = get_flow(config.flow)
     p = config.params
-    spec = {"count": int(p.get("count", 4000)), "seed": config.seed}
-    if p.get("x_range") is not None:
-        spec["x_range"] = tuple(p["x_range"])
-    if p.get("disk_radius_max") is not None:
-        spec["disk_radius_max"] = float(p["disk_radius_max"])
+    spec = {"count": int(p.get("count", 4000)), "seed": config.seed,
+            **_sample_kwargs(flow, p)}
     if p.get("grid") is not None:
         spec["grid"] = [int(v) for v in p["grid"]]
         spec["jitter"] = bool(p.get("jitter", True))

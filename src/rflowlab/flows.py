@@ -56,14 +56,14 @@ class RescaleConstants:
 class FlowSpec:
     name: str
     manifold: ModelManifold
-    field: Callable                       # vectorized (..., d) -> (..., d), wraps internally
+    field: Callable                       # vectorized (..., d) -> (..., d), wraps internally;
+                                          # invariant under every deck map of the manifold
     singular_set_description: str
     singular_predicate: Callable          # vectorized (..., d) -> bool array
     rescale: RescaleConstants
     analytic_holonomy: Optional[Callable] = None   # (base, t, u) -> image coords
     known_entropy: Optional[float] = None
     smooth_sample_filter: Optional[Callable] = None  # mask for derivative sampling
-    cover_ok: bool = True                 # field is invariant under all deck maps
 
 
 # ----------------------------------------------------------------- manifolds

@@ -17,7 +17,7 @@ rescaled comparison in this library lives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,15 +56,13 @@ class Gluing:
     axis: int
     matrix: np.ndarray
     target_axes: tuple
+    _powers: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def power(self, k):
-        cache = _GLUE_POWER_CACHE.setdefault(id(self), {})
-        if k not in cache:
-            cache[k] = np.linalg.matrix_power(self.matrix, k)
-        return cache[k]
-
-
-_GLUE_POWER_CACHE: dict = {}
+        if k not in self._powers:
+            self._powers[k] = np.linalg.matrix_power(self.matrix, k)
+        return self._powers[k]
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,18 @@
-"""Flow map, dense orbit sampling, and event-located section crossings.
+"""Flow map, orbit sampling, and event-located section crossings.
 
-The integrator is an adaptive embedded Dormand-Prince 5(4) pair with
-error-per-unit-step control (local error <= tol * h per accepted step, so
-roughly tol per unit time). Scalar trajectories keep their accepted steps
-as cubic Hermite segments for cheap dense evaluation; event times found on
-the interpolant are always polished against exact re-integration before
-being reported, so crossing residuals honor the stated tolerance.
+One integrator serves every caller: an adaptive embedded Dormand-Prince
+5(4) pair with error-per-unit-step control (local error <= tol * h per
+accepted step, so roughly tol per unit time) that advances a batch of
+points together. Every catalog field is invariant under the deck maps of
+its manifold, so states are carried in the universal cover of the chart
+and wrapped into the fundamental domain only on output; crossing the glued
+fiber of a mapping torus needs no special handling during a step.
 
-A step that would straddle the glued-axis boundary of a mapping torus is
-split at the boundary: the segment ends exactly on the identified fiber,
-the identification is applied, and integration restarts in the new chart.
-Plain periodic axes need no splits; trajectories live in the universal
-cover and are wrapped on output (all catalog fields are deck-invariant,
-asserted via ``FlowSpec.cover_ok`` for batched integration).
+Section crossings use standard event location on the exact flow (Hairer,
+Norsett and Wanner, Solving ODEs I, section II.6): the plane function is
+evaluated at the integrated states of a scan grid, the first sign change
+is bracketed, and a bracketed secant polishes the root against exact
+re-integration until the residual meets the event tolerance.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LeftTube, NoCrossing, Timeout
-from .geometry import Point
+from .geometry import Point, _readonly
 
 T_MAX_DEFAULT = 200.0
 DEFAULT_TOL = 1e-9
@@ -82,221 +82,6 @@ def _initial_step(y, f0, duration):
     return min(duration, max(1e-8, 0.01 * scale))
 
 
-class _Path:
-    """Accepted steps of one scalar trajectory, with Hermite evaluation.
-
-    Times are signed (negative for backward runs). Segments never straddle
-    a gluing split; raw coordinates are chart-consistent inside a segment
-    and must be wrapped by the caller before metric use.
-    """
-
-    def __init__(self, tol):
-        self.tol = tol
-        self.t0 = []
-        self.t1 = []
-        self.y0 = []
-        self.y1 = []
-        self.f0 = []
-        self.f1 = []
-
-    def add(self, t0, t1, y0, y1, f0, f1):
-        self.t0.append(t0)
-        self.t1.append(t1)
-        self.y0.append(y0)
-        self.y1.append(y1)
-        self.f0.append(f0)
-        self.f1.append(f1)
-
-    @property
-    def t_end(self):
-        return self.t1[-1] if self.t1 else 0.0
-
-    def _segment_index(self, t):
-        lo, hi = self.t0[0], self.t1[-1]
-        a, b = (lo, hi) if lo <= hi else (hi, lo)
-        if not (a - 1e-12 <= t <= b + 1e-12):
-            raise ValueError(f"time {t} outside path range [{a}, {b}]")
-        for i in range(len(self.t0)):
-            s0, s1 = self.t0[i], self.t1[i]
-            if min(s0, s1) - 1e-12 <= t <= max(s0, s1) + 1e-12:
-                return i
-        return len(self.t0) - 1
-
-    def eval(self, t):
-        """Cubic Hermite interpolant of the raw trajectory at time t."""
-        i = self._segment_index(t)
-        h = self.t1[i] - self.t0[i]
-        if h == 0.0:
-            return self.y0[i].copy()
-        s = (t - self.t0[i]) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        return (h00 * self.y0[i] + h10 * h * self.f0[i]
-                + h01 * self.y1[i] + h11 * h * self.f1[i])
-
-    def node_before(self, t):
-        """(time, raw state) of the accepted node starting t's segment."""
-        i = self._segment_index(t)
-        return self.t0[i], self.y0[i].copy()
-
-
-def _glue_level(m, coords, downward=False):
-    """Deck level of the glue coordinate.
-
-    Boundary points belong to the level they are moving away from: upward
-    motion uses floor levels, downward motion ceil levels, so a trajectory
-    restarted exactly on the identified fiber is not re-split.
-    """
-    g = m.gluing
-    per = m.periodic_axes[g.axis]
-    lo = m.axis_origins[g.axis]
-    q = (coords[g.axis] - lo) / per
-    if downward:
-        return math.ceil(q) - 1
-    return math.floor(q)
-
-
-def _integrate_scalar(f, y0, t, tol, max_steps, path=None):
-    """Integrate raw chart coords over signed time t with gluing splits.
-
-    Returns final raw coords (glue axis kept in its fundamental level,
-    other axes in the cover). Appends Hermite segments to ``path``.
-    """
-    m = f.manifold
-    sign = 1.0 if t >= 0 else -1.0
-    duration = abs(t)
-    if duration == 0.0:
-        return np.array(y0, dtype=float)
-
-    def fn(y):
-        return sign * f.field(y)
-
-    y = np.array(y0, dtype=float)
-    f0 = fn(y)
-    h = _initial_step(y, f0, duration)
-    s = 0.0
-    steps = 0
-    glue = m.gluing
-    while s < duration - 1e-14:
-        if steps >= max_steps:
-            raise Timeout(f"{f.name}: step budget {max_steps} exhausted at "
-                          f"t={sign * s:.6g} of {t:.6g}")
-        if h < 1e-14:
-            raise Timeout(f"{f.name}: step size collapsed at t={sign * s:.6g}")
-        h = min(h, duration - s)
-        y_new, f_new, err = _rk_step(fn, y, f0, h)
-        steps += 1
-        if err > tol * h and h > 1e-13:
-            h *= max(0.2, 0.9 * (tol * h / err) ** 0.2)
-            continue
-        accept_h = h
-        moved_down = y_new[glue.axis] < y[glue.axis] if glue is not None else False
-        if glue is not None and (_glue_level(m, y_new, moved_down)
-                                 != _glue_level(m, y, moved_down)):
-            # split the step exactly at the identified fiber
-            up = not moved_down
-            tau, y_b, f_b = _locate_glue_boundary(fn, m, y, f0, y_new, f_new,
-                                                  accept_h, moved_down)
-            if path is not None and tau > 0:
-                path.add(sign * s, sign * (s + tau), y.copy(), y_b.copy(), sign * f0,
-                         sign * f_b)
-            y = _apply_glue_once(m, y_b, up)
-            s += tau
-            f0 = fn(y)
-            steps += 1
-            h = min(accept_h, 0.45 * m.periodic_axes[glue.axis])
-            continue
-        if path is not None:
-            path.add(sign * s, sign * (s + accept_h), y.copy(), y_new.copy(),
-                     sign * f0, sign * f_new)
-        s += accept_h
-        y = y_new
-        f0 = f_new
-        if err == 0.0:
-            h = accept_h * 5.0
-        else:
-            h = accept_h * min(5.0, max(0.2, 0.9 * (tol * accept_h / err) ** 0.2))
-    return y
-
-
-def _locate_glue_boundary(fn, m, y, f0, y_new, f_new, h, moved_down):
-    """Find (tau, state, deriv) where the glue coordinate hits its boundary."""
-    g = m.gluing
-    per = m.periodic_axes[g.axis]
-    lo = m.axis_origins[g.axis]
-    lvl0 = _glue_level(m, y, moved_down)
-    boundary = lo + lvl0 * per if moved_down else lo + (lvl0 + 1) * per
-
-    ya = y[g.axis] - boundary
-    if abs(ya) < 1e-13:
-        st = y.copy()
-        st[g.axis] = boundary
-        return 0.0, st, f0
-
-    def coord(tau):
-        if tau <= 0:
-            return y, f0
-        if tau >= h:
-            return y_new, f_new
-        st = _substep(fn, y, f0, tau)
-        return st, fn(st)
-
-    a, b = 0.0, h
-    fm = f_new
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        st, fm = coord(mid)
-        val = st[g.axis] - boundary
-        if abs(val) < 1e-13:
-            a = b = mid
-            break
-        if (val > 0) == (ya > 0):
-            a = mid
-            ya = val
-        else:
-            b = mid
-    tau = 0.5 * (a + b)
-    st, fm = coord(tau)
-    st = st.copy()
-    st[g.axis] = boundary
-    return tau, st, fm
-
-
-def _apply_glue_once(m, st, up):
-    """Apply the identification for one boundary crossing in-place-safe."""
-    g = m.gluing
-    per = m.periodic_axes[g.axis]
-    i, j = g.target_axes
-    mat = g.power(1) if up else g.power(-1)
-    out = st.copy()
-    out[g.axis] += -per if up else per
-    vi, vj = out[i], out[j]
-    out[i] = mat[0, 0] * vi + mat[0, 1] * vj
-    out[j] = mat[1, 0] * vi + mat[1, 1] * vj
-    return out
-
-
-def _substep(fn, y, f0, h, n_min=1):
-    """Fixed-pair integration over h starting from (y, f0); error-subdivided."""
-    n = n_min
-    for _ in range(12):
-        yy, ff = y.copy(), f0
-        hh = h / n
-        ok = True
-        for _ in range(n):
-            yy2, ff2, err = _rk_step(fn, yy, ff, hh)
-            if err > 1e-10 * max(hh, 1e-8):
-                ok = False
-                break
-            yy, ff = yy2, ff2
-        if ok:
-            return yy
-        n *= 2
-    return yy
-
-
 def flow_map(f, x: Point, t: float, tol: float = DEFAULT_TOL,
              max_steps: int = MAX_STEPS_DEFAULT, t_max: float = T_MAX_DEFAULT) -> Point:
     """The flow of ``f`` applied to ``x`` for signed time ``t``.
@@ -307,47 +92,30 @@ def flow_map(f, x: Point, t: float, tol: float = DEFAULT_TOL,
         raise ValueError(f"|t|={abs(t)} exceeds t_max={t_max}")
     if t == 0.0:
         return x
-    y = _integrate_scalar(f, x.coords, t, tol, max_steps)
-    return f.manifold.wrap(y)
+    y = orbit_batch(f, x.coords[None], np.array([t]), tol, max_steps)[0, 0]
+    return Point(_readonly(y))
 
 
-def flow_path(f, x: Point, t: float, tol: float = DEFAULT_TOL,
-              max_steps: int = MAX_STEPS_DEFAULT):
-    """Integrate over signed time t keeping dense segments; returns _Path."""
-    path = _Path(tol)
-    if t == 0.0:
-        yy = np.array(x.coords, dtype=float)
-        ff = f.field(yy)
-        path.add(0.0, 0.0, yy, yy.copy(), ff, ff.copy())
-        return path
-    _integrate_scalar(f, x.coords, t, tol, max_steps, path=path)
-    return path
+def _states_at(f, coords, times, tol, max_steps):
+    """Wrapped states of one orbit at strictly increasing times of any sign."""
+    out = np.empty((times.size, coords.size))
+    neg = times < 0
+    if np.any(neg):
+        out[neg] = orbit_batch(f, coords[None], times[neg][::-1], tol,
+                               max_steps)[0, ::-1]
+    if not np.all(neg):
+        out[~neg] = orbit_batch(f, coords[None], times[~neg], tol, max_steps)[0]
+    return out
 
 
 def orbit(f, x: Point, times, tol: float = DEFAULT_TOL,
           max_steps: int = MAX_STEPS_DEFAULT) -> OrbitSegment:
     """Sample the orbit of x at strictly monotone times (any sign, 0 allowed)."""
     times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        return OrbitSegment(times=times, points=[], step_tolerance=tol)
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    pts = {}
-    for sel, sign in ((times < 0, -1.0), (times >= 0, 1.0)):
-        tt = times[sel]
-        if tt.size == 0:
-            continue
-        order = np.argsort(np.abs(tt))
-        y = np.array(x.coords, dtype=float)
-        cur = 0.0
-        for idx in order:
-            target = tt[idx]
-            if target != cur:
-                y = _integrate_scalar(f, y, target - cur, tol, max_steps)
-                y = f.manifold.wrap_array(y)
-                cur = target
-            pts[float(target)] = f.manifold.wrap(y)
-    return OrbitSegment(times=times, points=[pts[float(t)] for t in times],
+    states = _states_at(f, x.coords, times, tol, max_steps)
+    return OrbitSegment(times=times, points=[Point(_readonly(s)) for s in states],
                         step_tolerance=tol)
 
 
@@ -356,11 +124,9 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL,
     """Sample many orbits at shared times; returns wrapped (n, m, d) array.
 
     Runs in the universal cover with shared adaptive steps (error controlled
-    by the worst point of the batch), so it requires a deck-invariant field
-    (``f.cover_ok``). Times must be monotone away from zero, single sign.
+    by the worst point of the batch); steps are shortened to land on each
+    sample time. Times must be monotone away from zero, single sign.
     """
-    if not f.cover_ok:
-        raise ValueError(f"{f.name}: batched cover integration needs cover_ok")
     coords = np.asarray(coords, dtype=float)
     times = np.asarray(times, dtype=float)
     out = np.empty((coords.shape[0], times.size, coords.shape[1]))
@@ -395,8 +161,8 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL,
             s += hh
             y, f0 = y_new, f_new
             h = hh * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol * hh / err) ** 0.2)))
-        out[:, j, :] = f.manifold.wrap_array(y)
-    return out
+        out[:, j, :] = y
+    return f.manifold.wrap_array(out)
 
 
 def first_crossing(f, y: Point, target, window, direction: str = "forward",
@@ -406,128 +172,81 @@ def first_crossing(f, y: Point, target, window, direction: str = "forward",
     """First crossing of the target section plane inside a time window.
 
     The plane function is g(s) = <phi_s(y) - base, n> with n the unit field
-    direction at the target base. The scan walks a dense grid over the
-    window (forward: ascending, backward: descending), brackets the first
-    sign change, and polishes the root against exact re-integration until
-    |g| <= event_tol. A hit farther than radius_slack times the section
+    direction at the target base. It is evaluated at the integrated states
+    of a 0.01-spaced grid over the window; the scan (forward: ascending,
+    backward: descending) brackets the first sign change, and a bracketed
+    secant (Illinois) polishes the root by re-integrating from the grid
+    state at the bracket's first end. The result has |g| <= event_tol, or
+    NoCrossing is raised. A hit farther than radius_slack times the section
     radius from the base raises LeftTube.
     """
     w_lo, w_hi = float(window[0]), float(window[1])
     if w_hi < w_lo:
         raise ValueError("window must be (lo, hi) with lo <= hi")
-    if w_hi - w_lo > t_max:
-        raise ValueError("window longer than t_max")
+    if max(-w_lo, w_hi) > t_max:
+        raise ValueError(f"window reaches beyond |t| = t_max = {t_max}")
+    if direction not in ("forward", "backward"):
+        raise ValueError("direction must be 'forward' or 'backward'")
     m = f.manifold
     base = target.frame.base.coords
     nhat = target.frame.field_dir
 
-    paths = []
-    if w_lo < 0:
-        paths.append(flow_path(f, y, max(w_lo, -t_max), tol, max_steps))
-    if w_hi > 0:
-        paths.append(flow_path(f, y, min(w_hi, t_max), tol, max_steps))
-
-    def raw_at(s):
-        if s == 0.0:
-            return np.array(y.coords, dtype=float)
-        for p in paths:
-            lo, hi = (p.t_end, 0.0) if p.t_end < 0 else (0.0, p.t_end)
-            if lo - 1e-12 <= s <= hi + 1e-12:
-                return p.eval(s)
-        raise ValueError(f"no path covers time {s}")
-
-    def g_of_raw(raw):
-        w = m.wrap_array(raw)
-        disp = m.displacement(base, w)
-        return float(np.dot(disp, nhat)), w, disp
-
-    def g_exact(s):
-        if abs(s) < 1e-15:
-            return g_of_raw(np.array(y.coords, dtype=float))
-        # restart from the nearest accepted node and integrate exactly
-        for p in paths:
-            lo, hi = (p.t_end, 0.0) if p.t_end < 0 else (0.0, p.t_end)
-            if lo - 1e-12 <= s <= hi + 1e-12:
-                t0, y0 = p.node_before(s)
-                raw = _integrate_scalar(f, m.wrap_array(y0), s - t0, tol, max_steps)
-                return g_of_raw(raw)
-        raise ValueError(f"no path covers time {s}")
-
-    n_grid = max(64, int(math.ceil((w_hi - w_lo) / 0.01)) + 1)
+    n_grid = int(math.ceil((w_hi - w_lo) / 0.01)) + 1
     grid = np.linspace(w_lo, w_hi, n_grid)
+    states = _states_at(f, y.coords, grid, tol, max_steps)
+    disps = m.displacement(base, states)
+    gvals = disps @ nhat
     if direction == "backward":
-        grid = grid[::-1]
-    elif direction != "forward":
-        raise ValueError("direction must be 'forward' or 'backward'")
-
-    gv_prev = None
-    s_prev = None
-    bracket = None
-    for s_cur in grid:
-        gv, _, _ = g_of_raw(raw_at(s_cur))
-        if abs(gv) <= event_tol:
-            bracket = (s_cur, s_cur)
-            break
-        if gv_prev is not None and (gv > 0) != (gv_prev > 0):
-            bracket = (s_prev, s_cur)
-            break
-        gv_prev, s_prev = gv, s_cur
-    if bracket is None:
+        grid, states, disps, gvals = grid[::-1], states[::-1], disps[::-1], gvals[::-1]
+    hits = np.abs(gvals) <= event_tol
+    changes = np.zeros(n_grid, dtype=bool)
+    changes[1:] = (gvals[1:] > 0) != (gvals[:-1] > 0)
+    first = np.flatnonzero(hits | changes)
+    if first.size == 0:
         raise NoCrossing(f"{f.name}: no section crossing in window "
                          f"[{w_lo:.6g}, {w_hi:.6g}]")
-
-    a, b = bracket
-    if a == b:
-        s_hit = a
-        g_hit, w_hit, disp = g_exact(s_hit)
+    i = int(first[0])
+    if hits[i]:
+        s_hit, g_hit, w_hit, disp = float(grid[i]), float(gvals[i]), states[i], disps[i]
     else:
-        ga, _, _ = g_exact(a)
-        gb, _, _ = g_exact(b)
-        if abs(ga) <= event_tol:
-            s_hit, (g_hit, w_hit, disp) = a, g_exact(a)
-        elif abs(gb) <= event_tol:
-            s_hit, (g_hit, w_hit, disp) = b, g_exact(b)
-        else:
-            if (ga > 0) == (gb > 0):
-                # interpolation artifact: fall back to a fine exact scan
-                fine = np.linspace(a, b, 33)
-                vals = [g_exact(s)[0] for s in fine]
-                found = None
-                for i in range(len(fine) - 1):
-                    if (vals[i] > 0) != (vals[i + 1] > 0) or abs(vals[i]) <= event_tol:
-                        found = (fine[i], fine[i + 1], vals[i], vals[i + 1])
-                        break
-                if found is None:
-                    raise NoCrossing(f"{f.name}: bracket lost during refinement")
-                a, b, ga, gb = found
-            # bracketed secant (Illinois) on the exact flow
-            s_hit, g_hit = a, ga
-            side = 0
-            for _ in range(80):
-                if abs(b - a) < 1e-15 or abs(gb - ga) < 1e-300:
-                    s_hit = 0.5 * (a + b)
-                    g_hit, _, _ = g_exact(s_hit)
-                    break
-                mid = (a * gb - b * ga) / (gb - ga)
-                if not (min(a, b) <= mid <= max(a, b)):
-                    mid = 0.5 * (a + b)
-                gm, _, _ = g_exact(mid)
-                if abs(gm) <= event_tol:
-                    s_hit, g_hit = mid, gm
-                    break
-                if (gm > 0) == (ga > 0):
-                    a, ga = mid, gm
-                    if side == -1:
-                        gb *= 0.5
-                    side = -1
-                else:
-                    b, gb = mid, gm
-                    if side == 1:
-                        ga *= 0.5
-                    side = 1
+        a, b = float(grid[i - 1]), float(grid[i])
+        ga, gb = float(gvals[i - 1]), float(gvals[i])
+        s0, y0 = a, states[i - 1]
+
+        def g_exact(s):
+            w = orbit_batch(f, y0[None], np.array([s - s0]), tol, max_steps)[0, 0]
+            d = m.displacement(base, w)
+            return float(np.dot(d, nhat)), w, d
+
+        # bracketed secant (Illinois) on the exact flow
+        s_hit = None
+        side = 0
+        for _ in range(80):
+            if abs(b - a) < 1e-15 or abs(gb - ga) < 1e-300:
+                break
+            mid = (a * gb - b * ga) / (gb - ga)
+            if not (min(a, b) <= mid <= max(a, b)):
+                mid = 0.5 * (a + b)
+            gm, w_m, d_m = g_exact(mid)
+            if abs(gm) <= event_tol:
+                s_hit, g_hit, w_hit, disp = mid, gm, w_m, d_m
+                break
+            if (gm > 0) == (ga > 0):
+                a, ga = mid, gm
+                if side == -1:
+                    gb *= 0.5
+                side = -1
             else:
-                s_hit = 0.5 * (a + b)
+                b, gb = mid, gm
+                if side == 1:
+                    ga *= 0.5
+                side = 1
+        if s_hit is None:
+            s_hit = 0.5 * (a + b)
             g_hit, w_hit, disp = g_exact(s_hit)
+            if abs(g_hit) > event_tol:
+                raise NoCrossing(f"{f.name}: crossing residual {g_hit:.3g} near "
+                                 f"t={s_hit:.6g} above event_tol {event_tol:.3g}")
 
     offset_vec = disp - g_hit * nhat
     u = target.frame.axes @ offset_vec
@@ -538,13 +257,5 @@ def first_crossing(f, y: Point, target, window, direction: str = "forward",
             f"(section radius {target.radius:.3g})",
             hit_time=s_hit, offset=off,
         )
-    return CrossingEvent(hit_point=Point(w_hit if isinstance(w_hit, Point) else
-                                         _as_point_coords(w_hit)),
-                         hit_time=float(s_hit), residual=float(g_hit),
-                         offset_coords=u, offset_norm=off)
-
-
-def _as_point_coords(arr):
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
+    return CrossingEvent(hit_point=Point(_readonly(w_hit)), hit_time=float(s_hit),
+                         residual=float(g_hit), offset_coords=u, offset_norm=off)

@@ -2,8 +2,11 @@
 determinism across worker counts (small scale)."""
 
 import json
+from pathlib import Path
 
 from rflowlab.cli import ExperimentConfig, load_config, main, run, validate
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _write_config(tmp_path, payload):
@@ -33,6 +36,23 @@ def test_exit_code_2_on_bad_config(tmp_path):
     path = _write_config(tmp_path, {"flow": "bogus", "command": "rset",
                                     "output_dir": str(tmp_path / "o")})
     assert main(["rset", "--config", str(path)]) == 2
+
+
+def test_unknown_param_key_exits_2(tmp_path, capsys):
+    code = main(["holonomy", "--config", str(CONFIGS / "holonomy_cat.json"),
+                 "--output-dir", str(tmp_path / "o"),
+                 "--param", "n_samples=4", "--param", "n_bases=2",
+                 "--param", "n_sample=5"])
+    assert code == 2
+    assert "n_sample" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_shipped_configs_validate():
+    paths = sorted(CONFIGS.glob("*.json"))
+    assert paths
+    for path in paths:
+        assert validate(load_config(path)) == [], path.name
 
 
 def test_exit_code_3_on_computation_error(tmp_path):

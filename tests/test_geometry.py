@@ -5,7 +5,7 @@ import pytest
 
 from rflowlab.errors import DegenerateField, OutOfManifold
 from rflowlab.flows import CAT_MATRIX, cat_suspension_manifold, solid_torus_manifold
-from rflowlab.geometry import distance, exp_map, normal_frame, wrap
+from rflowlab.geometry import Gluing, distance, exp_map, normal_frame, wrap
 
 TORUS = solid_torus_manifold()
 CAT = cat_suspension_manifold()
@@ -51,6 +51,17 @@ def test_wrap_idempotent_random():
         once = m.wrap_array(raw)
         twice = m.wrap_array(once)
         assert np.allclose(once, twice, atol=1e-9)
+
+
+def test_glue_powers_belong_to_their_gluing():
+    """Fresh gluings never see matrix powers cached for an earlier one."""
+    rng = np.random.default_rng(11)
+    wrong = 0
+    for _ in range(2000):
+        m = rng.integers(-3, 4, size=(2, 2)).astype(float)
+        g = Gluing(axis=2, matrix=m, target_axes=(0, 1))
+        wrong += not np.array_equal(g.power(2), m @ m)
+    assert wrong == 0
 
 
 def test_out_of_manifold_on_disk_violation():

@@ -116,7 +116,13 @@ def test_orbit_sampling_monotone():
     assert all(np.diff(xs) > 0)  # rightward drift on (0, 1)
 
 
-def test_orbit_batch_matches_scalar():
+def test_orbit_batch_against_scipy_oracle():
+    """Batched orbits agree with scipy's DOP853 at every sample time."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(_t, y):
+        return TORUS.field(y)
+
     rng = np.random.default_rng(23)
     pts = np.stack([rng.uniform(-1.9, 1.9, size=8),
                     rng.uniform(-0.4, 0.4, size=8),
@@ -124,9 +130,10 @@ def test_orbit_batch_matches_scalar():
     times = np.array([0.0, 0.5, 1.0, 2.0])
     batch = orbit_batch(TORUS, pts, times, tol=1e-10)
     for i in range(8):
-        for j, t in enumerate(times):
-            ref = flow_map(TORUS, _pt(TORUS, pts[i]), float(t), tol=1e-10)
-            assert TORUS.manifold.distance_array(batch[i, j], ref.coords) < 1e-7
+        ref = solve_ivp(rhs, (0.0, times[-1]), pts[i], t_eval=times,
+                        rtol=1e-11, atol=1e-12, method="DOP853")
+        for j in range(times.size):
+            assert TORUS.manifold.distance_array(batch[i, j], ref.y[:, j]) < 1e-7
 
 
 def test_first_crossing_at_base():
@@ -164,6 +171,18 @@ def test_first_crossing_no_crossing():
     y = _pt(RIGID, (1.0, 0.0, 0.0))
     with pytest.raises(NoCrossing):
         first_crossing(RIGID, y, sec, window=(0.0, 0.5))
+
+
+def test_first_crossing_residual_meets_event_tol_or_raises():
+    """An event_tol below the float resolution of g cannot be met: raise."""
+    base = _pt(CAT, (0.7, 0.5, 0.0))
+    sec = make_section(CAT, base, 0.25)
+    y = _pt(CAT, (0.2, 0.3, 0.5))
+    try:
+        ev = first_crossing(CAT, y, sec, window=(0.0, 1.0), event_tol=1e-20)
+    except NoCrossing:
+        return
+    assert abs(ev.residual) <= 1e-20
 
 
 def test_t_max_validation():

@@ -1,8 +1,12 @@
 """Cross-sections and holonomy: construction, the analytic section-map
 oracle, rescaled-tube containment, injectivity, and stepwise orbits."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rflowlab.errors import BetaTooLarge, LeftTube, SingularBase, Timeout
 from rflowlab.flows import CAT_MATRIX, LAMBDA_PLUS, get_flow, sample_points
@@ -111,6 +115,40 @@ def test_rescaled_tube_property_sampled():
             y = section_point(flow, sec, u)
             res = holonomy(flow, sec, t, y, radius_slack=4.0)
             assert res.tube_ok, (flow.name, t, u)
+
+
+def _base(flow, a, b, c):
+    """A regular base point from three unit draws."""
+    if flow is CAT:
+        return _pt(CAT, (a, b, c))
+    x = math.copysign(0.2 + 1.7 * abs(2 * a - 1), a - 0.5)  # |x| in [0.2, 1.9]
+    return _pt(flow, (x, 0.6 * b * math.cos(2 * math.pi * c),
+                      0.6 * b * math.sin(2 * math.pi * c)))
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(flow=st.sampled_from([TORUS, CAT, RIGID]), a=unit, b=unit, c=unit,
+       t=st.floats(0.5, 3.0), backward=st.booleans(),
+       angle=st.floats(0.0, 2 * math.pi), frac=st.floats(0.0, 0.98))
+def test_holonomy_matches_analytic_property(flow, a, b, c, t, backward, angle, frac):
+    """y shares the base's along-field coordinate, so it hits at time t."""
+    t = -t if backward else t
+    x = _base(flow, a, b, c)
+    if flow is CAT:
+        # on the glued fiber the section coordinates are defined only up to A
+        s_end = x.coords[2] + t
+        assume(abs(s_end - round(s_end)) > 1e-6)
+    beta = 0.1
+    sec = make_section(flow, x, beta)
+    dom = beta / flow.rescale.L ** abs(t) * sec.base_field_norm
+    u = frac * dom * np.array([math.cos(angle), math.sin(angle)])
+    res = holonomy(flow, sec, t, section_point(flow, sec, u), radius_slack=4.0)
+    assert abs(res.hit_time - t) <= 1e-6
+    assert abs(res.residual) <= 1e-10
+    assert np.linalg.norm(res.image_coords - flow.analytic_holonomy(x, t, u)) <= 1e-6
 
 
 def test_holonomy_injectivity_probe():
