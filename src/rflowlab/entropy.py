@@ -1,20 +1,30 @@
 """Topological entropy estimation via maximal separated sets.
 
-A pair of samples is (t, eps)-separated when their orbits move farther
-than eps apart at some sampled time in [0, t] (strict inequality). Counts
-are greedy maximal separated subsets in fixed index order: a sample is
-accepted when it is separated from every previously accepted one. Each
-sample's orbit is integrated once and cached, so the greedy pass costs
-table lookups only; a time-zero distance screen prunes the comparisons
-(only an accepted point within eps at time zero can reject a candidate).
+A pair of samples is (t, eps)-separated when their orbits are farther than
+eps apart (strict inequality) at some sampled time in [0, t]. The sampled
+times are the cached times up to t taken with the stride that
+``_validate_step`` allows, plus the last cached time up to t, so the
+horizon endpoint is always tested. Counts are greedy maximal separated
+subsets in fixed index order: a sample is accepted when it is separated
+from every previously accepted one.
+
+Each sample's orbit is integrated once and cached. Work is done per
+accepted sample, not per candidate: its time-zero eps-neighbors come from
+one KD-tree query over deck copies (any sample farther than eps at time
+zero is separated from it at every horizon), and one distance table over
+the cached times gives its separation from each neighbor at every horizon.
+The neighbors it fails to separate from are blocked, and the greedy pass
+jumps straight to the next sample that is neither accepted nor blocked.
 
 ``entropy_estimate`` fills the whole (t, eps) table by extending each
-accepted set as t grows: a separated set at horizon t stays separated at
-any larger horizon, so seeding the next column with the previous one keeps
-counts non-decreasing in t by construction while every column remains a
-greedy maximal separated subset. The growth exponent per eps comes from a
-least-squares fit of log counts over the largest unsaturated prefix of the
-time grid (counts below 0.8 of the sample budget).
+accepted set as t grows: each column is seeded with the previous column's
+accepted set, which keeps counts non-decreasing in t by construction, and
+accepts further samples that are separated from every member at the
+column's horizon. Seeded members stay even where a stride makes separation
+non-monotone in t (a shorter horizon's endpoint can fall off the stride of
+a longer one). The growth exponent
+per eps comes from a least-squares fit of log counts over the largest
+unsaturated prefix of the time grid (counts below 0.8 of the sample budget).
 """
 
 from __future__ import annotations
@@ -23,14 +33,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-
-try:
-    from scipy.spatial import cKDTree
-except ImportError:  # pure-numpy fallback below
-    cKDTree = None
+from scipy.spatial import cKDTree
 
 from .errors import Saturated, StepTooCoarse
 from .flows import FlowSpec, sample_points
@@ -108,105 +113,36 @@ class _OrbitCache:
     def index_upto(self, t):
         return int(np.searchsorted(self.times, t + 1e-12))
 
-    def max_pairwise_distance(self, i, js, m_t, stride: int = 1):
-        """max over the first m_t sampled times of d(orbit_i, orbit_j), per j.
 
-        The final cached time before m_t is always included so the horizon
-        endpoint is tested even under a stride.
-        """
-        if stride > 1:
-            idx = np.arange(0, m_t, stride)
-            if idx[-1] != m_t - 1:
-                idx = np.append(idx, m_t - 1)
-            a = self.orbits[i, idx, :]
-            b = self.orbits[js][:, idx, :]
-        else:
-            a = self.orbits[i, :m_t, :]
-            b = self.orbits[js, :m_t, :]
-        return np.max(self.manifold.distance_array(a, b), axis=-1)
+def _deck_variants(manifold, pos):
+    """``pos`` and, on a glued manifold, its images one level up and down.
 
-    def neighbor_lists(self, eps):
-        """Per sample: indices within eps at time zero, nearest first.
-
-        Only these can ever reject a candidate (a non-separated pair is
-        within eps at every sampled time, time zero included). Computed
-        once per eps; time-zero positions never change across horizons.
-
-        With scipy available the screen is a KD-tree query over deck-image
-        copies (gluing images for every point, axis translates for points
-        within eps of a periodic boundary), so the chart-Euclidean ball
-        around a sample covers every quotient-metric neighbor; candidates
-        are then confirmed with the exact quotient distance.
-        """
-        pos = self.orbits[:, 0, :]
-        n = pos.shape[0]
-        if cKDTree is not None:
-            m = self.manifold
-            copies, owner = _deck_copies(m, pos, eps)
-            tree = cKDTree(copies)
-            # the gluing is not an isometry, so balls must also be taken
-            # around each sample's own deck images (transverse coordinates
-            # re-wrapped so the copy translates cover the query ball)
-            queries = [pos]
-            if m.gluing is not None:
-                for k in (1, -1):
-                    img = m._deck_image(pos, k)
-                    for ax, per in enumerate(m.periodic_axes):
-                        if per is None or ax == m.gluing.axis:
-                            continue
-                        lo = m.axis_origins[ax]
-                        img[:, ax] = lo + np.mod(img[:, ax] - lo, per)
-                    queries.append(img)
-            hit_sets = [tree.query_ball_point(q, r=eps * (1.0 + 1e-9))
-                        for q in queries]
-            out = []
-            for i in range(n):
-                raw = [j for hs in hit_sets for j in hs[i]]
-                ids = np.unique(owner[raw])
-                ids = ids[ids != i]
-                if ids.size:
-                    d = self.manifold.distance_array(pos[i], pos[ids])
-                    sel = d <= eps
-                    ids, d = ids[sel], d[sel]
-                    ids = ids[np.argsort(d, kind="stable")]
-                out.append(ids.astype(np.int32))
-            return out
-        out = []
-        block = max(16, int(4e6 // max(n, 1)))
-        for i0 in range(0, n, block):
-            d = self.manifold.distance_array(pos[i0:i0 + block, None, :],
-                                             pos[None, :, :])
-            for r in range(d.shape[0]):
-                i = i0 + r
-                row = d[r]
-                sel = np.flatnonzero(row <= eps)
-                sel = sel[sel != i]
-                order = np.argsort(row[sel], kind="stable")
-                out.append(sel[order].astype(np.int32))
-        return out
+    Transverse coordinates of the images are re-wrapped (a pure
+    translation) so that boundary translates of them cover a query ball.
+    """
+    variants = [np.asarray(pos, dtype=float)]
+    g = manifold.gluing
+    if g is not None:
+        for k in (1, -1):
+            img = manifold._deck_image(pos, k)
+            for ax, per in enumerate(manifold.periodic_axes):
+                if per is None or ax == g.axis:
+                    continue
+                lo = manifold.axis_origins[ax]
+                img[..., ax] = lo + np.mod(img[..., ax] - lo, per)
+            variants.append(img)
+    return variants
 
 
 def _deck_copies(manifold, pos, reach):
     """Deck-image copies of ``pos`` so chart-Euclidean balls of radius
     ``reach`` around originals see every quotient-metric neighbor."""
-    variants = [np.asarray(pos, dtype=float)]
-    if manifold.gluing is not None:
-        for k in (1, -1):
-            img = manifold._deck_image(pos, k)
-            # re-wrap transverse coordinates (pure translation) so the
-            # boundary translates below cover the whole query range
-            for ax, per in enumerate(manifold.periodic_axes):
-                if per is None or ax == manifold.gluing.axis:
-                    continue
-                lo = manifold.axis_origins[ax]
-                img[:, ax] = lo + np.mod(img[:, ax] - lo, per)
-            variants.append(img)
     n = pos.shape[0]
     base_owner = np.arange(n)
     copies = []
     owners = []
     glue_axis = manifold.gluing.axis if manifold.gluing is not None else None
-    for var in variants:
+    for var in _deck_variants(manifold, pos):
         copies.append(var)
         owners.append(base_owner)
         shifted = [(var, base_owner)]
@@ -234,35 +170,64 @@ def _deck_copies(manifold, pos, reach):
     return np.concatenate(copies, axis=0), np.concatenate(owners)
 
 
-def _greedy_pass(cache: _OrbitCache, n: int, eps: float, m_t: int,
-                 accepted: list, neighbors, stride: int = 1):
-    """Extend ``accepted`` to a maximal separated set at this horizon.
+def _neighbor_screen(manifold, pos, eps):
+    """Return ``neighbors(j)``: sorted indices within eps of ``pos[j]``.
 
-    Candidates are screened against accepted time-zero neighbors only,
-    checked in blocks of increasing time-zero distance with early exit on
-    the first rejecting pair. ``stride`` subsamples the cached times (the
-    caller guarantees the strided step still meets the eps/2 bound).
+    The KD-tree holds deck copies of every point. The gluing is not an
+    isometry, so each query takes balls around the point and its own deck
+    images; hits are then confirmed with the exact quotient distance.
+    The relation is symmetric, so a candidate that an accepted sample does
+    not list is more than eps from it at time zero.
     """
+    copies, owner = _deck_copies(manifold, pos, eps)
+    tree = cKDTree(copies)
+
+    def neighbors(j):
+        queries = np.stack(_deck_variants(manifold, pos[j]))
+        hits = tree.query_ball_point(queries, r=eps * (1.0 + 1e-9))
+        ids = np.unique(owner[[k for h in hits for k in h]])
+        ids = ids[ids != j]
+        return ids[manifold.distance_array(pos[j], pos[ids]) <= eps]
+
+    return neighbors
+
+
+def _separated_counts(cache: _OrbitCache, eps: float, horizons,
+                      stride: int):
+    """Greedy maximal separated set sizes, one per horizon.
+
+    ``horizons`` are increasing cached-time counts m; horizon m samples
+    the times ``0, stride, 2 stride, ... < m`` and ``m - 1`` (the caller
+    guarantees the strided step still meets the eps/2 bound). Each horizon
+    extends the previous one's accepted set.
+    """
+    orbits = cache.orbits
+    n = orbits.shape[0]
+    last = np.asarray(horizons) - 1
+    m_max = int(last[-1]) + 1
+    neighbors = _neighbor_screen(cache.manifold, orbits[:, 0, :], eps)
     taken = np.zeros(n, dtype=bool)
-    taken[accepted] = True
-    acc_arr = list(accepted)
-    block = 48
-    for i in range(n):
-        if taken[i]:
-            continue
-        near = neighbors[i]
-        cand = near[taken[near]]
-        ok = True
-        for b0 in range(0, cand.size, block):
-            js = cand[b0:b0 + block]
-            dmax = cache.max_pairwise_distance(i, js, m_t, stride)
-            if np.any(dmax <= eps):
-                ok = False
+    blocked = np.zeros((n, last.size), dtype=bool)
+    counts = []
+    for c in range(last.size):
+        i = 0
+        while True:
+            free = np.flatnonzero(~(taken[i:] | blocked[i:, c]))
+            if free.size == 0:
                 break
-        if ok:
-            acc_arr.append(i)
-            taken[i] = True
-    return acc_arr
+            j = i + int(free[0])
+            taken[j] = True
+            i = j + 1
+            nbr = neighbors(j)
+            # rows only matter for candidates still free at some horizon
+            nbr = nbr[~(taken[nbr] | blocked[nbr, c:].all(axis=1))]
+            if nbr.size:
+                ex = cache.manifold.distance_array(
+                    orbits[j, :m_max], orbits[nbr, :m_max]) > eps
+                seen = np.logical_or.accumulate(ex[:, ::stride], axis=1)
+                blocked[nbr] |= ~(seen[:, last // stride] | ex[:, last])
+        counts.append(int(np.count_nonzero(taken)))
+    return counts
 
 
 def _grid_samples(f: FlowSpec, shape, seed: int = 0, jitter: bool = True):
@@ -296,7 +261,15 @@ def _max_field_norm(cache: _OrbitCache, f: FlowSpec) -> float:
 
 
 def _validate_step(max_norm: float, eps: float, step: float) -> int:
-    """Check the sampling bound and return the coarsest admissible stride."""
+    """Check the sampling bound and return the coarsest admissible stride.
+
+    Sampling two orbits every h time units misses their largest distance
+    by at most h max||X||, which stays below eps/2 when
+    ``h <= eps / (2 max||X||)``; ``step`` must meet that bound. The stride
+    is the largest number of cached steps that still meets it: a horizon
+    with m cached times samples indices ``0, stride, 2 stride, ... < m``
+    and ``m - 1``, so its endpoint is tested even off the stride.
+    """
     bound = eps / (2.0 * max_norm)
     if step > bound + 1e-12:
         raise StepTooCoarse(
@@ -305,17 +278,13 @@ def _validate_step(max_norm: float, eps: float, step: float) -> int:
 
 
 def separated_count(f: FlowSpec, samples, t: float, eps: float,
-                    orbit_step: float, tol: float = 1e-7,
-                    _cache: Optional[_OrbitCache] = None) -> int:
+                    orbit_step: float, tol: float = 1e-7) -> int:
     """Greedy maximal (t, eps)-separated subset size among the samples."""
     coords = np.stack([p.coords for p in samples])
-    cache = _cache or _OrbitCache(f, coords, max(t, orbit_step), orbit_step,
-                                  extra_times=[t], tol=tol)
+    cache = _OrbitCache(f, coords, max(t, orbit_step), orbit_step,
+                        extra_times=[t], tol=tol)
     stride = _validate_step(_max_field_norm(cache, f), eps, orbit_step)
-    m_t = cache.index_upto(t)
-    neighbors = cache.neighbor_lists(eps)
-    return len(_greedy_pass(cache, len(samples), eps, m_t, [], neighbors,
-                            stride))
+    return _separated_counts(cache, eps, [cache.index_upto(t)], stride)[0]
 
 
 def entropy_estimate(f: FlowSpec, sample_spec: dict, eps_list, t_list,
@@ -362,14 +331,9 @@ def entropy_estimate(f: FlowSpec, sample_spec: dict, eps_list, t_list,
     max_norm = _max_field_norm(cache, f)
     strides = [_validate_step(max_norm, eps, orbit_step) for eps in eps_list]
 
-    counts = np.zeros((len(eps_list), len(t_list)), dtype=int)
-    for ei, eps in enumerate(eps_list):
-        neighbors = cache.neighbor_lists(eps)
-        accepted = []
-        for ti, t in enumerate(t_list):
-            accepted = _greedy_pass(cache, n, eps, cache.index_upto(t),
-                                    accepted, neighbors, strides[ei])
-            counts[ei, ti] = len(accepted)
+    horizons = [cache.index_upto(t) for t in t_list]
+    counts = np.array([_separated_counts(cache, eps, horizons, stride)
+                       for eps, stride in zip(eps_list, strides)], dtype=int)
 
     monotone_t = bool(np.all(np.diff(counts, axis=1) >= 0))
     monotone_eps = bool(np.all(np.diff(counts, axis=0) >= 0))  # eps decreasing

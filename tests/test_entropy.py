@@ -1,8 +1,13 @@
 """Separated-set counts and entropy estimates at module-test scale."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
+import rflowlab.entropy as ent
 from rflowlab.entropy import entropy_estimate, separated_count
 from rflowlab.errors import Saturated, StepTooCoarse
 from rflowlab.flows import LAMBDA_PLUS, get_flow, sample_points
@@ -22,12 +27,10 @@ def test_count_one_when_nothing_separates():
 
 
 def test_rigid_counts_independent_of_t():
-    rng = np.random.default_rng(51)
     pts = sample_points(RIGID, 300, seed=51)
     c0 = separated_count(RIGID, pts, 0.0, 0.2, 0.05)
     c4 = separated_count(RIGID, pts, 4.0, 0.2, 0.05)
     assert c0 == c4
-    del rng
 
 
 def test_greedy_equals_brute_force_on_line_instances():
@@ -90,18 +93,39 @@ def test_entropy_deterministic():
     assert np.array_equal(a.counts, b.counts)
 
 
-def test_neighbor_screen_tree_matches_fallback(monkeypatch):
-    """KD-tree deck-copy screen and the exact pairwise fallback agree."""
-    import rflowlab.entropy as ent
+def _pairwise_neighbors(manifold, pos, eps):
+    """Per sample, sorted indices within eps by an all-pairs distance scan."""
+    d = manifold.distance_array(pos[:, None, :], pos[None, :, :])
+    np.fill_diagonal(d, np.inf)
+    return [np.flatnonzero(row <= eps) for row in d]
 
-    pts = sample_points(CAT, 300, seed=60)
-    coords = np.stack([p.coords for p in pts])
-    cache = ent._OrbitCache(CAT, coords, 1.0, 0.05)
-    with_tree = cache.neighbor_lists(0.2)
-    monkeypatch.setattr(ent, "cKDTree", None)
-    without = cache.neighbor_lists(0.2)
-    for a, b in zip(with_tree, without):
-        assert np.array_equal(np.sort(a), np.sort(b))
+
+def test_neighbor_screen_tree_matches_fallback():
+    """The KD-tree deck-copy screen finds exactly the all-pairs neighbors,
+    and the relation is symmetric, also for points within eps of the glued
+    fiber and of the periodic edges."""
+    eps = 0.2
+    rng = np.random.default_rng(60)
+    for flow in (CAT, TORUS):
+        m = flow.manifold
+        pts = sample_points(flow, 400, seed=60)
+        coords = np.stack([p.coords for p in pts])
+        for ax, per in enumerate(m.periodic_axes):
+            if per is None:
+                continue
+            sel = rng.choice(len(coords), 100, replace=False)
+            off = rng.uniform(1e-6, eps, sel.size)
+            lo = m.axis_origins[ax]
+            coords[sel, ax] = np.where(rng.random(sel.size) < 0.5,
+                                       lo + off, lo + per - off)
+        neighbors = ent._neighbor_screen(m, coords, eps)
+        got = [neighbors(i) for i in range(len(coords))]
+        want = _pairwise_neighbors(m, coords, eps)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert np.array_equal(a, b), (flow.name, i)
+        pairs = {(i, int(j)) for i, ids in enumerate(got) for j in ids}
+        assert pairs == {(j, i) for i, j in pairs}, flow.name
+        assert len(pairs) > len(coords), flow.name
 
 
 def test_report_serialization(tmp_path):
@@ -115,3 +139,62 @@ def test_report_serialization(tmp_path):
     assert csv_path.read_text().startswith("eps,t,count\n")
     assert "verdict" in json_path.read_text()
     assert len(dats) == 2
+
+
+def _greedy_oracle(flow, cache, eps, t_list, step):
+    """Greedy separated-set sizes by an all-pairs scan, one per horizon.
+
+    A pair is separated at horizon t when its distance exceeds eps at some
+    cached time of the stride-subsampled prefix up to t or at the last
+    cached time up to t. Candidates are taken in index order, each horizon
+    starting from the previous horizon's accepted set.
+    """
+    orbits, times = cache.orbits, cache.times
+    max_norm = np.max(np.linalg.norm(
+        flow.field(orbits.reshape(-1, orbits.shape[-1])), axis=-1))
+    stride = max(1, math.floor(eps / (2.0 * max_norm) / step))
+    n = orbits.shape[0]
+    accepted, counts = [], []
+    for t in t_list:
+        m = int(np.searchsorted(times, t + 1e-12))
+        sub = orbits[:, sorted(set(range(0, m, stride)) | {m - 1})]
+        for i in range(n):
+            if i in accepted:
+                continue
+            far = np.max(flow.manifold.distance_array(sub[i], sub[accepted]),
+                         axis=-1) > eps
+            if np.all(far):
+                accepted.append(i)
+        counts.append(len(accepted))
+    return counts
+
+
+@settings(max_examples=12, deadline=None)
+@given(flow=st.sampled_from([CAT, TORUS, RIGID]), n=st.integers(100, 200),
+       seed=st.integers(0, 2**31 - 1), eps=st.sampled_from([0.25, 0.3, 0.45]),
+       step=st.sampled_from([0.05, 0.025]),
+       dt=st.sampled_from([0.25, 0.2, 0.35]), n_t=st.integers(3, 5))
+@example(flow=CAT, n=200, seed=1, eps=0.25, step=0.05, dt=0.25, n_t=5)
+def test_counts_match_brute_force_greedy(flow, n, seed, eps, step, dt, n_t):
+    """entropy_estimate and separated_count agree with an all-pairs greedy,
+    including horizons whose endpoints fall off the stride (eps 0.25 with
+    step 0.05 is stride 2, and t = 0.25 is cached time index 5)."""
+    eps_list = [eps, 0.75 * eps]
+    t_list = [k * dt for k in range(n_t)]
+    try:
+        rep = entropy_estimate(flow, {"count": n, "seed": seed}, eps_list,
+                               t_list, step)
+    except Saturated:
+        reject()
+    coords = np.stack([p.coords for p in sample_points(flow, n, seed=seed)])
+    cache = ent._OrbitCache(flow, coords, max(t_list), step,
+                            extra_times=t_list)
+    for ei, e in enumerate(eps_list):
+        assert list(rep.counts[ei]) == _greedy_oracle(flow, cache, e, t_list,
+                                                      step)
+
+    t = t_list[-1]
+    pts = sample_points(flow, n, seed=seed)
+    single = ent._OrbitCache(flow, coords, max(t, step), step, extra_times=[t])
+    assert separated_count(flow, pts, t, eps, step) == _greedy_oracle(
+        flow, single, eps, [t], step)[0]
