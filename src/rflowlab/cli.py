@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -41,6 +42,9 @@ from .sections import holonomy, make_section, section_point
 COMMANDS = ("holonomy", "rset", "expansivity", "entropy", "uef", "demo")
 
 _SAMPLING_KEYS = ("tol", "x_range", "disk_radius_max")
+_LIST_KEYS = ("x_range", "t_choices", "grid", "eps_list", "t_list",
+              "fit_window")
+_DIRECTIONS = ("stable", "unstable", "both")
 # the params each command's _run_* reads; any other key is rejected
 PARAM_KEYS = {
     "holonomy": ("beta", "n_samples", "n_bases", "t", "t_choices",
@@ -86,6 +90,22 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
     return ExperimentConfig(**merged)
 
 
+def _is_number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _wrong_kind(key, value):
+    """The kind of value ``key`` needs, if ``value`` is not one; else None."""
+    if key == "direction":
+        return None if value in _DIRECTIONS else f"one of {_DIRECTIONS}"
+    if value is None or key == "jitter":
+        return None
+    if key in _LIST_KEYS:
+        ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+        return None if ok else "a list of numbers"
+    return None if _is_number(value) else "a number"
+
+
 def validate(config: ExperimentConfig):
     """Static parameter checks; returns a list of problems (empty = valid)."""
     bad = []
@@ -101,6 +121,10 @@ def validate(config: ExperimentConfig):
     unknown = sorted(set(p) - set(PARAM_KEYS[config.command]))
     if unknown:
         bad.append(f"unknown {config.command} params: {', '.join(unknown)}")
+    bad += [f"{k} must be {kind}, not {v!r}" for k, v in p.items()
+            if k not in unknown and (kind := _wrong_kind(k, v))]
+    if bad:
+        return bad
     flow = get_flow(config.flow)
     beta = p.get("beta")
     if beta is not None and beta > flow.rescale.beta0 + 1e-12:
@@ -244,13 +268,14 @@ def _run_rset(config, outdir):
         g = compute_rset(flow, x, beta, t, n_max, resolution, d, tol=tol)
         path = outdir / f"rset_point{i:02d}_{d}.csv"
         g.to_csv(path)
+        counts = g.counts()
         entry = {
             "point": [float(v) for v in x.coords], "direction": d,
-            "members": g.counts()["members"],
-            "center_only": g.counts()["members"] == 1,
+            "members": counts["members"],
+            "center_only": counts["members"] == 1,
             "horizon_certified": g.horizon_certified,
             "truncation_reason": g.truncation_reason,
-            "error_tally": g.counts()["error_states"],
+            "error_tally": counts["error_states"],
             "grid_csv": path.name,
         }
         if gamma is not None:

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import Saturated, StepTooCoarse
 from .flows import FlowSpec, sample_points
@@ -179,6 +178,8 @@ def _neighbor_screen(manifold, pos, eps):
     The relation is symmetric, so a candidate that an accepted sample does
     not list is more than eps from it at time zero.
     """
+    from scipy.spatial import cKDTree  # scipy's one use, so loaded here
+
     copies, owner = _deck_copies(manifold, pos, eps)
     tree = cKDTree(copies)
 

@@ -21,9 +21,9 @@ an undecidable region.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -107,19 +107,17 @@ class RSetGrid:
         }
 
     def to_csv(self, path):
-        coords = self.cell_coords()
+        res = self.resolution
+        offs = [f"{v:.17g}" for v in self.cell_coords()[:, 0, 0].tolist()]
+        cells = zip(product(range(res), repeat=2),
+                    self.membership.ravel().tolist(),
+                    self.component_labels.ravel().tolist(),
+                    self.error_state.ravel().tolist())
+        body = "".join(
+            f"{i},{j},{offs[i]},{offs[j]},{m:d},{c},{ERROR_NAMES[s]}\n"
+            for (i, j), m, c, s in cells)
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["i", "j", "u", "v", "member", "component", "error_state"])
-            for i in range(self.resolution):
-                for j in range(self.resolution):
-                    w.writerow([
-                        i, j,
-                        f"{coords[i, j, 0]:.17g}", f"{coords[i, j, 1]:.17g}",
-                        int(self.membership[i, j]),
-                        int(self.component_labels[i, j]),
-                        ERROR_NAMES[int(self.error_state[i, j])],
-                    ])
+            fh.write("i,j,u,v,member,component,error_state\n" + body)
 
 
 @dataclass
@@ -265,14 +263,52 @@ def _propagate_points(f: FlowSpec, x: Point, section: CrossSection, t: float,
                         base_norms=np.array(base_norms), tracks=tracks)
 
 
-def _grid_coords(resolution: int, radius: float):
-    if resolution % 2 == 0 or resolution < 3:
+def _march_grid(f, x, section, resolution, t, sign, n_max, tolerance_factor,
+                beta, direction, tol, radius_slack) -> RSetGrid:
+    """The membership grid over ``section``, components not yet labelled.
+
+    In-disk cells are propagated as one batch with the center cell as row
+    0; cells outside the disk are outside the section domain. With
+    n_max = 0 every in-disk cell is a member.
+    """
+    res = resolution
+    if res % 2 == 0 or res < 3:
         raise ValueError("resolution must be odd and >= 3")
-    c = resolution // 2
-    w = 2.0 * radius / resolution
-    offs = (np.arange(resolution) - c) * w
+    w = 2.0 * section.radius / res
+    offs = (np.arange(res) - res // 2) * w
     U = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1)
-    return U, w
+    flat_u = U.reshape(-1, 2)
+    inside = np.linalg.norm(flat_u, axis=-1) <= section.radius + 1e-12
+    center = (res // 2) * res + res // 2
+    inside[center] = False
+    cells = np.concatenate(([center], np.flatnonzero(inside)))
+    if n_max == 0:
+        run = _Propagation(np.ones(cells.size, dtype=int),
+                           np.zeros(cells.size, dtype=np.int8), 0, None,
+                           np.array([section.base_field_norm]), None)
+    else:
+        run = _propagate_points(f, x, section, t, flat_u[cells], sign, n_max,
+                                tolerance_factor, beta, tol=tol,
+                                radius_slack=radius_slack)
+    fail_step = np.zeros(res * res, dtype=int)
+    error_state = np.full(res * res, CELL_OUTSIDE_SECTION, dtype=np.int8)
+    fail_step[cells] = run.fail_step
+    error_state[cells] = run.error_state
+    fail_step = fail_step.reshape(res, res)
+    error_state = error_state.reshape(res, res)
+    membership = (fail_step > run.horizon) \
+        & (error_state != CELL_OUTSIDE_SECTION) \
+        & (error_state != CELL_OUT_OF_MANIFOLD)
+    return RSetGrid(
+        section=section, resolution=res, direction=direction,
+        params={"beta": beta, "t": t, "n_max": n_max,
+                "tolerance_factor": tolerance_factor},
+        membership=membership,
+        component_labels=np.full((res, res), -1, dtype=int),
+        fail_step=fail_step, error_state=error_state,
+        horizon_certified=run.horizon, truncation_reason=run.truncation_reason,
+        cellwidth=w, base_norms=run.base_norms,
+    )
 
 
 def compute_rset(f: FlowSpec, x: Point, beta: float, t: float, n_max: int,
@@ -302,48 +338,9 @@ def compute_rset(f: FlowSpec, x: Point, beta: float, t: float, n_max: int,
     if tolerance_factor is None:
         tolerance_factor = domain_factor
     section = make_section(f, x, domain_factor)
-    U, w = _grid_coords(resolution, section.radius)
-    res = resolution
-    flat_u = U.reshape(-1, 2)
-    unorm = np.linalg.norm(flat_u, axis=-1)
-
-    # order points so that row 0 is the center cell
-    center_flat = (res // 2) * res + (res // 2)
-    order = np.concatenate(([center_flat],
-                            np.delete(np.arange(res * res), center_flat)))
-    inv_order = np.argsort(order)
-
-    inside = unorm <= section.radius + 1e-12
-    coords_sorted = flat_u[order]
-    inside_sorted = inside[order]
-
-    sign = 1 if direction == "stable" else -1
-    # propagate only in-disk cells; others are outside the section domain
-    prop_rows = np.flatnonzero(inside_sorted)
-    run = _propagate_points(f, x, section, t, coords_sorted[prop_rows], sign,
-                            n_max, tolerance_factor, beta, tol=tol,
-                            radius_slack=radius_slack)
-
-    fail_sorted = np.zeros(res * res, dtype=int)
-    err_sorted = np.full(res * res, CELL_OUTSIDE_SECTION, dtype=np.int8)
-    fail_sorted[prop_rows] = run.fail_step
-    err_sorted[prop_rows] = run.error_state
-
-    fail_step = fail_sorted[inv_order].reshape(res, res)
-    error_state = err_sorted[inv_order].reshape(res, res)
-    membership = (fail_step > run.horizon) & (error_state != CELL_OUTSIDE_SECTION) \
-        & (error_state != CELL_OUT_OF_MANIFOLD)
-
-    grid = RSetGrid(
-        section=section, resolution=res, direction=direction,
-        params={"beta": beta, "t": t, "n_max": n_max,
-                "tolerance_factor": tolerance_factor},
-        membership=membership,
-        component_labels=np.full((res, res), -1, dtype=int),
-        fail_step=fail_step, error_state=error_state,
-        horizon_certified=run.horizon, truncation_reason=run.truncation_reason,
-        cellwidth=w, base_norms=run.base_norms,
-    )
+    grid = _march_grid(f, x, section, resolution, t,
+                       1 if direction == "stable" else -1, n_max,
+                       tolerance_factor, beta, direction, tol, radius_slack)
     if with_components:
         connected_component(grid)
     return grid
@@ -416,49 +413,8 @@ def dynamical_ball(f: FlowSpec, x: Point, n: int, epsilon: float, t: float,
     if epsilon > f.rescale.beta0 + 1e-12:
         raise BetaTooLarge(f"epsilon={epsilon} exceeds beta0={f.rescale.beta0}")
     section = make_section(f, x, epsilon)
-    U, w = _grid_coords(resolution, section.radius)
-    res = resolution
-    flat_u = U.reshape(-1, 2)
-    unorm = np.linalg.norm(flat_u, axis=-1)
-    center_flat = (res // 2) * res + (res // 2)
-    order = np.concatenate(([center_flat],
-                            np.delete(np.arange(res * res), center_flat)))
-    inv_order = np.argsort(order)
-    inside = unorm <= section.radius + 1e-12
-    coords_sorted = flat_u[order]
-    prop_rows = np.flatnonzero(inside[order])
-
-    if n == 0:
-        fail = np.full(res * res, 1, dtype=int)
-        err = np.full(res * res, CELL_OUTSIDE_SECTION, dtype=np.int8)
-        fail[prop_rows] = 1
-        err[prop_rows] = CELL_OK
-        fail_step = fail[inv_order].reshape(res, res)
-        error_state = err[inv_order].reshape(res, res)
-        horizon, trunc, norms = 0, None, np.array([section.base_field_norm])
-    else:
-        run = _propagate_points(f, x, section, t, coords_sorted[prop_rows], 1,
-                                n, epsilon, epsilon, tol=tol,
-                                radius_slack=radius_slack)
-        fail = np.zeros(res * res, dtype=int)
-        err = np.full(res * res, CELL_OUTSIDE_SECTION, dtype=np.int8)
-        fail[prop_rows] = run.fail_step
-        err[prop_rows] = run.error_state
-        fail_step = fail[inv_order].reshape(res, res)
-        error_state = err[inv_order].reshape(res, res)
-        horizon, trunc, norms = run.horizon, run.truncation_reason, run.base_norms
-
-    membership = (fail_step > horizon) & (error_state != CELL_OUTSIDE_SECTION) \
-        & (error_state != CELL_OUT_OF_MANIFOLD)
-    grid = RSetGrid(
-        section=section, resolution=res, direction="ball",
-        params={"beta": epsilon, "t": t, "n_max": n, "tolerance_factor": epsilon},
-        membership=membership,
-        component_labels=np.full((res, res), -1, dtype=int),
-        fail_step=fail_step, error_state=error_state,
-        horizon_certified=horizon, truncation_reason=trunc,
-        cellwidth=w, base_norms=norms,
-    )
+    grid = _march_grid(f, x, section, resolution, t, 1, n, epsilon, epsilon,
+                       "ball", tol, radius_slack)
     connected_component(grid)
     return DynamicalBall(section=section, n=n, epsilon=epsilon, grid=grid)
 

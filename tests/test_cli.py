@@ -2,7 +2,12 @@
 determinism across worker counts (small scale)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from rflowlab.cli import ExperimentConfig, load_config, main, run, validate
 
@@ -45,6 +50,21 @@ def test_unknown_param_key_exits_2(tmp_path, capsys):
                  "--param", "n_sample=5"])
     assert code == 2
     assert "n_sample" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, override", [
+    ("rset_torus.json", "direction=sideways"),
+    ("rset_torus.json", "resolution=abc"),
+    ("entropy_cat.json", "eps_list=0.2"),
+])
+def test_bad_param_value_exits_2(tmp_path, capsys, config, override):
+    key, _, value = override.partition("=")
+    code = main([config.split("_")[0], "--config", str(CONFIGS / config),
+                 "--output-dir", str(tmp_path / "o"), "--param", override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and value in err
     assert not (tmp_path / "o").exists()
 
 
@@ -157,3 +177,13 @@ def test_load_config_roundtrip(tmp_path):
     cfg = load_config(path)
     assert cfg.flow == "cat_suspension" and cfg.workers == 2
     assert cfg.params["beta"] == 0.1
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported only where entropy builds its KD-tree
+    probe = "import sys, rflowlab, rflowlab.cli; print('scipy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -7,6 +7,8 @@ stay under the tolerance for every step, which pins strip widths, ball
 widths, and separation horizons in closed form.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from rflowlab.errors import BudgetExhausted, GammaTooLarge, SingularBase
 from rflowlab.flows import CAT_MATRIX, LAMBDA_PLUS, get_flow, reversed_flow, sample_points
 from rflowlab.rsets import (
     CELL_OUTSIDE_SECTION,
+    ERROR_NAMES,
+    RSetGrid,
     check_expansivity,
     compute_rset,
     connected_component,
@@ -135,6 +139,50 @@ def test_stable_unstable_duality():
     gu2 = compute_rset(TORUS, x2, 0.1, 1.0, 10, 21, "unstable")
     gs2 = compute_rset(reversed_flow(TORUS), x2, 0.1, 1.0, 10, 21, "stable")
     assert np.array_equal(gu2.membership, gs2.membership)
+
+
+# ------------------------------------------------------------------ CSV bytes
+
+def _csv_writer_oracle(grid, path):
+    """The row-by-row ``csv.writer`` loop that ``to_csv`` must reproduce."""
+    coords = grid.cell_coords()
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["i", "j", "u", "v", "member", "component", "error_state"])
+        for i in range(grid.resolution):
+            for j in range(grid.resolution):
+                w.writerow([
+                    i, j,
+                    f"{coords[i, j, 0]:.17g}", f"{coords[i, j, 1]:.17g}",
+                    int(grid.membership[i, j]),
+                    int(grid.component_labels[i, j]),
+                    ERROR_NAMES[int(grid.error_state[i, j])],
+                ])
+
+
+@pytest.mark.parametrize("resolution", [3, 101])
+def test_to_csv_bytes_match_csv_writer_oracle(tmp_path, resolution):
+    rng = np.random.default_rng(resolution)
+    shape = (resolution, resolution)
+    states = np.array(sorted(ERROR_NAMES), dtype=np.int8)
+    error_state = rng.choice(states, size=shape)
+    error_state.flat[:len(states)] = states        # every state appears
+    membership = rng.random(shape) < 0.5
+    labels = np.where(membership, rng.integers(0, 12, size=shape), -1)
+    labels.flat[0], labels.flat[1] = -1, 0
+    grid = RSetGrid(
+        section=None, resolution=resolution, direction="stable",
+        params={"n_max": 1}, membership=membership, component_labels=labels,
+        fail_step=np.full(shape, 2), error_state=error_state,
+        horizon_certified=1, truncation_reason=None,
+        cellwidth=0.1 / 3.0 / resolution, base_norms=np.ones(2))
+    grid.to_csv(tmp_path / "new.csv")
+    _csv_writer_oracle(grid, tmp_path / "oracle.csv")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "oracle.csv").read_bytes()
+    us = {float(line.split(b",")[2]) for line in new.splitlines()[1:]}
+    assert min(us) < 0.0 and 0.0 in us and max(us) > 0.0
+    assert len(new.splitlines()) == resolution ** 2 + 1
 
 
 # ------------------------------------------------------------------ components
