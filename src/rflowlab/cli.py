@@ -44,6 +44,11 @@ COMMANDS = ("holonomy", "rset", "expansivity", "entropy", "uef", "demo")
 _SAMPLING_KEYS = ("tol", "x_range", "disk_radius_max")
 _LIST_KEYS = ("x_range", "t_choices", "grid", "eps_list", "t_list",
               "fit_window")
+_INT_KEYS = ("n_samples", "n_bases", "n_max", "resolution", "n_points",
+             "count", "horizon_budget", "n_directions", "grid")
+# null means "use the default" (or, for holonomy's t, "draw from t_choices")
+_NULLABLE = ("gamma", "gamma_factor", "x_range", "disk_radius_max", "grid",
+             "fit_window", "jitter")
 _DIRECTIONS = ("stable", "unstable", "both")
 # the params each command's _run_* reads; any other key is rejected
 PARAM_KEYS = {
@@ -94,16 +99,27 @@ def _is_number(v):
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
-def _wrong_kind(key, value):
+def _is_int(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _wrong_kind(command, key, value):
     """The kind of value ``key`` needs, if ``value`` is not one; else None."""
+    if value is None:
+        nullable = key in _NULLABLE or (command == "holonomy"
+                                        and key in ("t", "t_choices"))
+        return None if nullable else "given (not null)"
     if key == "direction":
         return None if value in _DIRECTIONS else f"one of {_DIRECTIONS}"
-    if value is None or key == "jitter":
+    if key == "jitter":
         return None
+    is_kind, one, many = ((_is_int, "an integer", "integers")
+                          if key in _INT_KEYS else
+                          (_is_number, "a number", "numbers"))
     if key in _LIST_KEYS:
-        ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
-        return None if ok else "a list of numbers"
-    return None if _is_number(value) else "a number"
+        ok = isinstance(value, (list, tuple)) and all(map(is_kind, value))
+        return None if ok else f"a list of {many}"
+    return None if is_kind(value) else one
 
 
 def validate(config: ExperimentConfig):
@@ -121,8 +137,9 @@ def validate(config: ExperimentConfig):
     unknown = sorted(set(p) - set(PARAM_KEYS[config.command]))
     if unknown:
         bad.append(f"unknown {config.command} params: {', '.join(unknown)}")
-    bad += [f"{k} must be {kind}, not {v!r}" for k, v in p.items()
-            if k not in unknown and (kind := _wrong_kind(k, v))]
+    bad += [f"{k} must be {kind}, not {json.dumps(v, default=str)}"
+            for k, v in p.items()
+            if k not in unknown and (kind := _wrong_kind(config.command, k, v))]
     if bad:
         return bad
     flow = get_flow(config.flow)
@@ -131,10 +148,10 @@ def validate(config: ExperimentConfig):
         bad.append(f"beta={beta} exceeds beta0={flow.rescale.beta0}")
     if beta is not None and beta <= 0:
         bad.append("beta must be positive")
-    for key in ("t", "n_max", "resolution", "n_points", "n_samples",
+    for key in ("t", "n_max", "resolution", "n_points", "n_samples", "n_bases",
                 "horizon_budget", "count"):
-        if key in p and p[key] is not None and p[key] <= 0:
-            bad.append(f"{key} must be positive")
+        if p.get(key) is not None and p[key] <= 0:
+            bad.append(f"{key} must be positive, not {p[key]}")
     if p.get("resolution") is not None and p["resolution"] % 2 == 0:
         bad.append("resolution must be odd")
     eps_list = p.get("eps_list")
@@ -143,6 +160,11 @@ def validate(config: ExperimentConfig):
     t_list = p.get("t_list")
     if t_list is not None and any(b <= a for a, b in zip(t_list, t_list[1:])):
         bad.append("t_list must be strictly increasing")
+    if config.command == "holonomy" and p.get("t") is None \
+            and not p.get("t_choices"):
+        bad.append("holonomy needs t or a non-empty t_choices, not "
+                   f"t={json.dumps(p.get('t'))}, "
+                   f"t_choices={json.dumps(p.get('t_choices'))}")
     if config.command == "uef":
         eta = p.get("eta")
         if eta is None or eta <= 0:

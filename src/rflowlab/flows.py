@@ -92,10 +92,15 @@ def cat_suspension_manifold() -> ModelManifold:
 
 # -------------------------------------------------------------------- fields
 
+def _reduce_x(x):
+    """x reduced into [-2, 2] by the 4-period; exact (x itself) for |x| < 2."""
+    x = np.asarray(x, dtype=float)
+    return x - 4.0 * np.rint(x / 4.0)
+
+
 def _rho(x):
     """Speed profile of the solid torus flow, 4-periodic in the chart."""
-    xw = -2.0 + np.mod(np.asarray(x, dtype=float) + 2.0, 4.0)
-    return np.minimum(np.abs(xw), 1.0)
+    return np.minimum(np.abs(_reduce_x(x)), 1.0)
 
 
 def _solid_torus_field(coords):
@@ -151,8 +156,7 @@ def _build_solid_torus() -> FlowSpec:
 
     def smooth_filter(coords):
         # keep derivative stencils away from the kinks of rho at x in {-1, 0, 1}
-        x = np.asarray(coords, dtype=float)[..., 0]
-        xw = -2.0 + np.mod(x + 2.0, 4.0)
+        xw = _reduce_x(np.asarray(coords, dtype=float)[..., 0])
         dist = np.min(np.abs(xw[..., None] - np.array([-1.0, 0.0, 1.0])), axis=-1)
         return dist > 1e-2
 

@@ -8,10 +8,16 @@ its manifold, so states are carried in the universal cover of the chart
 and wrapped into the fundamental domain only on output; crossing the glued
 fiber of a mapping torus needs no special handling during a step.
 
-Section crossings use standard event location on the exact flow (Hairer,
-Norsett and Wanner, Solving ODEs I, section II.6): the plane function is
-evaluated at the integrated states of a scan grid, the first sign change
-is bracketed, and a bracketed secant polishes the root against exact
+Steps are chosen toward the last requested time only, which is landed on
+exactly; earlier sample times are filled from the pair's dense-output
+polynomial (Hairer, Norsett and Wanner, Solving ODEs I, section II.6;
+Dormand and Prince, and Shampine, 1986), so asking for more samples never
+changes the trajectory.
+
+Section crossings use standard event location (same reference): the
+plane function is scanned over dense samples of the window, which only
+brackets the first sign change; the bracket is re-evaluated on the exact
+flow, and a bracketed secant polishes the root against exact
 re-integration until the residual meets the event tolerance.
 """
 
@@ -38,6 +44,11 @@ _A6 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+# continuous extension of the pair (Hairer, Norsett and Wanner, Solving
+# ODEs I, section II.6: the coefficients of dopri5's CONTD5)
+_D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+      -10690763975 / 1880347072, 701980252875 / 199316789632,
+      -1453857185 / 822651844, 69997945 / 29380423)
 
 
 @dataclass
@@ -61,7 +72,10 @@ class CrossingEvent:
 
 
 def _rk_step(fn, y, f0, h):
-    """One DP5(4) step; returns (y_new, f_new, err_inf). f_new is FSAL."""
+    """One DP5(4) step; returns (y_new, f_new, err_inf, stages).
+
+    f_new is FSAL; stages are (k1, k3, k4, k5, k6, k7) for dense output.
+    """
     k1 = f0
     k2 = fn(y + h * (_A21 * k1))
     k3 = fn(y + h * (_A3[0] * k1 + _A3[1] * k2))
@@ -74,7 +88,24 @@ def _rk_step(fn, y, f0, h):
     k7 = fn(y5)
     err = h * (_ERR[0] * k1 + _ERR[2] * k3 + _ERR[3] * k4 + _ERR[4] * k5
                + _ERR[5] * k6 + _ERR[6] * k7)
-    return y5, k7, float(np.max(np.abs(err)))
+    return y5, k7, float(np.max(np.abs(err))), (k1, k3, k4, k5, k6, k7)
+
+
+def _dense(y, y_new, h, stages, theta):
+    """States at fractions theta of an accepted step from y to y_new.
+
+    The fourth-order Dormand-Prince interpolant; returns (n, m, d) for
+    theta of shape (m,).
+    """
+    k1, k3, k4, k5, k6, k7 = stages
+    r2 = y_new - y
+    r3 = h * k1 - r2
+    r4 = r2 - h * k7 - r3
+    r5 = h * (_D[0] * k1 + _D[2] * k3 + _D[3] * k4 + _D[4] * k5 + _D[5] * k6
+              + _D[6] * k7)
+    th = theta[None, :, None]
+    return y[:, None] + th * (r2[:, None] + (1.0 - th) * (
+        r3[:, None] + th * (r4[:, None] + (1.0 - th) * r5[:, None])))
 
 
 def _initial_step(y, f0, duration):
@@ -124,8 +155,11 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL,
     """Sample many orbits at shared times; returns wrapped (n, m, d) array.
 
     Runs in the universal cover with shared adaptive steps (error controlled
-    by the worst point of the batch); steps are shortened to land on each
-    sample time. Times must be monotone away from zero, single sign.
+    by the worst point of the batch) toward the last time, which is landed
+    on exactly; earlier times are filled from the dense-output polynomial
+    of the step that contains them, so they never shorten a step and the
+    last sample equals that of a call with the last time alone. Times must
+    be monotone away from zero, single sign.
     """
     coords = np.asarray(coords, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -143,25 +177,32 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL,
     def fn(y):
         return sign * f.field(y)
 
+    target = float(abst[-1])
     y = coords.copy()
     f0 = fn(y)
-    h = _initial_step(y, f0, float(abst[-1]) if abst[-1] > 0 else 1.0)
+    h = _initial_step(y, f0, target if target > 0 else 1.0)
     s = 0.0
     steps = 0
-    for j, target in enumerate(abst):
-        while s < target - 1e-14:
-            if steps >= max_steps:
-                raise Timeout(f"{f.name}: batch step budget exhausted at t={s:.6g}")
-            hh = min(h, target - s)
-            y_new, f_new, err = _rk_step(fn, y, f0, hh)
-            steps += 1
-            if err > tol * hh and hh > 1e-13:
-                h = hh * max(0.2, 0.9 * (tol * hh / err) ** 0.2)
-                continue
-            s += hh
-            y, f0 = y_new, f_new
-            h = hh * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol * hh / err) ** 0.2)))
-        out[:, j, :] = y
+    j = 0   # first time not yet filled
+    while s < target - 1e-14:
+        if steps >= max_steps:
+            raise Timeout(f"{f.name}: batch step budget exhausted at t={s:.6g}")
+        hh = min(h, target - s)
+        y_new, f_new, err, stages = _rk_step(fn, y, f0, hh)
+        steps += 1
+        accepted = not (err > tol * hh and hh > 1e-13)
+        k = min(int(np.searchsorted(abst, s + hh, side="right")), abst.size - 1)
+        if accepted and k > j:
+            out[:, j:k] = _dense(y, y_new, hh, stages, (abst[j:k] - s) / hh)
+            j = k
+        del stages    # kept through the next step, they would raise peak memory
+        if not accepted:
+            h = hh * max(0.2, 0.9 * (tol * hh / err) ** 0.2)
+            continue
+        s += hh
+        y, f0 = y_new, f_new
+        h = hh * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol * hh / err) ** 0.2)))
+    out[:, j:] = y[:, None]
     return f.manifold.wrap_array(out)
 
 
@@ -172,13 +213,17 @@ def first_crossing(f, y: Point, target, window, direction: str = "forward",
     """First crossing of the target section plane inside a time window.
 
     The plane function is g(s) = <phi_s(y) - base, n> with n the unit field
-    direction at the target base. It is evaluated at the integrated states
-    of a 0.01-spaced grid over the window; the scan (forward: ascending,
-    backward: descending) brackets the first sign change, and a bracketed
-    secant (Illinois) polishes the root by re-integrating from the grid
-    state at the bracket's first end. The result has |g| <= event_tol, or
-    NoCrossing is raised. A hit farther than radius_slack times the section
-    radius from the base raises LeftTube.
+    direction at the target base. The orbit is carried exactly to the
+    window start, and g is scanned over dense-output states on a 0.01-spaced
+    grid of the window (forward: ascending, backward: descending). The scan
+    only brackets: the first grid point with |g| <= event_tol, or the ends
+    of the first sign change, are evaluated again on the exact flow (landed
+    from the window start, a bracket's far end from its near end) until the
+    first flagged point or bracket holds on exact values, and a bracketed
+    secant (Illinois) polishes the root by exact re-integration from the
+    bracket's first end. The result has |g| <= event_tol, or NoCrossing is
+    raised. A hit farther than radius_slack times the section radius from
+    the base raises LeftTube; that decision is made on the exact hit.
     """
     w_lo, w_hi = float(window[0]), float(window[1])
     if w_hi < w_lo:
@@ -191,32 +236,55 @@ def first_crossing(f, y: Point, target, window, direction: str = "forward",
     base = target.frame.base.coords
     nhat = target.frame.field_dir
 
+    def land(start, dt):
+        """The state dt after ``start``, landed on exactly."""
+        return orbit_batch(f, start[None], np.array([dt]), tol, max_steps)[0, 0]
+
+    y_lo = land(y.coords, w_lo)
     n_grid = int(math.ceil((w_hi - w_lo) / 0.01)) + 1
-    grid = np.linspace(w_lo, w_hi, n_grid)
-    states = _states_at(f, y.coords, grid, tol, max_steps)
+    rel = np.linspace(0.0, w_hi - w_lo, n_grid)
+    states = orbit_batch(f, y_lo[None], rel, tol, max_steps)[0]
+    states[0] = y_lo    # wrapping again need not give back the same bits
     disps = m.displacement(base, states)
     gvals = disps @ nhat
-    if direction == "backward":
-        grid, states, disps, gvals = grid[::-1], states[::-1], disps[::-1], gvals[::-1]
-    hits = np.abs(gvals) <= event_tol
-    changes = np.zeros(n_grid, dtype=bool)
-    changes[1:] = (gvals[1:] > 0) != (gvals[:-1] > 0)
-    first = np.flatnonzero(hits | changes)
-    if first.size == 0:
-        raise NoCrossing(f"{f.name}: no section crossing in window "
-                         f"[{w_lo:.6g}, {w_hi:.6g}]")
-    i = int(first[0])
+    exact = np.zeros(n_grid, dtype=bool)
+    exact[0] = True
+    order = np.arange(n_grid) if direction == "forward" else np.arange(n_grid)[::-1]
+    while True:
+        g = gvals[order]
+        hits = np.abs(g) <= event_tol
+        changes = np.zeros(n_grid, dtype=bool)
+        changes[1:] = (g[1:] > 0) != (g[:-1] > 0)
+        first = np.flatnonzero(hits | changes)
+        if first.size == 0:
+            raise NoCrossing(f"{f.name}: no section crossing in window "
+                             f"[{w_lo:.6g}, {w_hi:.6g}]")
+        i = int(first[0])
+        ends = order[[i]] if hits[i] else order[[i - 1, i]]
+        stale = ends[~exact[ends]]
+        if stale.size == 0:
+            break
+        for k in stale:
+            # a bracket's far end is landed from its near end, as in the polish
+            k0 = ends[0] if k != ends[0] and exact[ends[0]] else 0
+            states[k] = land(states[k0], rel[k] - rel[k0])
+            exact[k] = True
+        disps[stale] = m.displacement(base, states[stale])
+        gvals[stale] = disps[stale] @ nhat
     if hits[i]:
-        s_hit, g_hit, w_hit, disp = float(grid[i]), float(gvals[i]), states[i], disps[i]
+        k = ends[0]
+        s_hit = w_lo + float(rel[k])
+        w_hit, disp, g_hit = states[k], disps[k], float(gvals[k])
     else:
-        a, b = float(grid[i - 1]), float(grid[i])
-        ga, gb = float(gvals[i - 1]), float(gvals[i])
-        s0, y0 = a, states[i - 1]
+        ka, kb = ends
+        a, b = w_lo + float(rel[ka]), w_lo + float(rel[kb])
+        ga, gb = float(gvals[ka]), float(gvals[kb])
+        s0, y0 = a, states[ka]
 
         def g_exact(s):
-            w = orbit_batch(f, y0[None], np.array([s - s0]), tol, max_steps)[0, 0]
+            w = land(y0, s - s0)
             d = m.displacement(base, w)
-            return float(np.dot(d, nhat)), w, d
+            return float(np.dot(d, nhat)), d, w
 
         # bracketed secant (Illinois) on the exact flow
         s_hit = None
@@ -227,7 +295,7 @@ def first_crossing(f, y: Point, target, window, direction: str = "forward",
             mid = (a * gb - b * ga) / (gb - ga)
             if not (min(a, b) <= mid <= max(a, b)):
                 mid = 0.5 * (a + b)
-            gm, w_m, d_m = g_exact(mid)
+            gm, d_m, w_m = g_exact(mid)
             if abs(gm) <= event_tol:
                 s_hit, g_hit, w_hit, disp = mid, gm, w_m, d_m
                 break
@@ -243,7 +311,7 @@ def first_crossing(f, y: Point, target, window, direction: str = "forward",
                 side = 1
         if s_hit is None:
             s_hit = 0.5 * (a + b)
-            g_hit, w_hit, disp = g_exact(s_hit)
+            g_hit, disp, w_hit = g_exact(s_hit)
             if abs(g_hit) > event_tol:
                 raise NoCrossing(f"{f.name}: crossing residual {g_hit:.3g} near "
                                  f"t={s_hit:.6g} above event_tol {event_tol:.3g}")

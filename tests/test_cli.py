@@ -57,15 +57,48 @@ def test_unknown_param_key_exits_2(tmp_path, capsys):
     ("rset_torus.json", "direction=sideways"),
     ("rset_torus.json", "resolution=abc"),
     ("entropy_cat.json", "eps_list=0.2"),
+    ("rset_torus.json", "resolution=101.5"),
+    ("rset_torus.json", "n_max=null"),
+    ("rset_torus.json", "t=null"),
+    ("entropy_cat.json", "grid=[30.5, 30, 8]"),
+    ("entropy_cat.json", "orbit_step=null"),
+    ("uef_cat.json", "n_directions=2.5"),
+    ("holonomy_cat.json", "n_bases=0"),
+    ("holonomy_cat.json", "n_bases=-2"),
+    ("holonomy_cat.json", "beta=null"),
+    ("tube_torus.json", "t_choices=[]"),
+    ("tube_torus.json", "t_choices=null"),
 ])
 def test_bad_param_value_exits_2(tmp_path, capsys, config, override):
     key, _, value = override.partition("=")
-    code = main([config.split("_")[0], "--config", str(CONFIGS / config),
+    command = json.loads((CONFIGS / config).read_text())["command"]
+    code = main([command, "--config", str(CONFIGS / config),
                  "--output-dir", str(tmp_path / "o"), "--param", override])
     assert code == 2
     err = capsys.readouterr().err
     assert key in err and value in err
     assert not (tmp_path / "o").exists()
+
+
+def test_holonomy_needs_a_time_exits_2(tmp_path, capsys):
+    path = _write_config(tmp_path, {
+        "flow": "cat_suspension", "command": "holonomy",
+        "params": {"beta": 0.1, "n_samples": 4, "n_bases": 2},
+        "output_dir": str(tmp_path / "o")})
+    assert main(["holonomy", "--config", str(path)]) == 2
+    assert "t_choices" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, nulls", [
+    ("tube_torus.json", ("t",)),
+    ("holonomy_cat.json", ("t_choices", "x_range", "disk_radius_max")),
+    ("rset_torus.json", ("gamma", "gamma_factor", "x_range")),
+    ("entropy_cat.json", ("grid", "fit_window")),
+])
+def test_null_is_kept_where_it_means_the_default(config, nulls):
+    cfg = load_config(CONFIGS / config, {"params": dict.fromkeys(nulls)})
+    assert validate(cfg) == []
 
 
 def test_shipped_configs_validate():

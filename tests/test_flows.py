@@ -105,3 +105,11 @@ def test_singular_set_is_the_zero_disk():
     pts = np.stack([xs, np.zeros_like(xs), np.zeros_like(xs)], axis=1)
     norms = np.linalg.norm(TORUS.field(pts), axis=-1)
     assert np.all((norms > 0) == (np.abs(xs) > 1e-12))
+
+
+@pytest.mark.parametrize("x", [1e-15, -1e-15, 1e-12, -1e-12, 3e-13, 0.25,
+                               -0.75, 1.0 - 1e-16, 1.999999])
+def test_speed_is_exact_near_the_singular_disk(x):
+    # rho(x) = |x| on [-1, 1] must not round x to the float grid of x + 2
+    assert TORUS.field(np.array([x, 0.0, 0.0]))[0] == min(abs(x), 1.0)
+    assert TORUS.singular_predicate(np.array([x, 0.0, 0.0])) == (abs(x) < 1e-12)

@@ -2,12 +2,16 @@
 time reversal, an independent scipy cross-check, and crossing location."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rflowlab import integrate
 from rflowlab.errors import LeftTube, NoCrossing
-from rflowlab.flows import CAT_MATRIX, get_flow
+from rflowlab.flows import CAT_MATRIX, get_flow, sample_points
 from rflowlab.integrate import first_crossing, flow_map, orbit, orbit_batch
 from rflowlab.sections import make_section
 
@@ -134,6 +138,52 @@ def test_orbit_batch_against_scipy_oracle():
                         rtol=1e-11, atol=1e-12, method="DOP853")
         for j in range(times.size):
             assert TORUS.manifold.distance_array(batch[i, j], ref.y[:, j]) < 1e-7
+
+
+def _step_ends(flow, pts, t, tol):
+    """|s| at the ends of the accepted steps of ``orbit_batch`` to t alone."""
+    calls = []
+    real = integrate._rk_step
+
+    def spy(fn, y, f0, h):
+        calls.append((y, h))
+        return real(fn, y, f0, h)
+
+    with mock.patch.object(integrate, "_rk_step", spy):
+        orbit_batch(flow, pts, np.array([t]), tol)
+    # a step is accepted when the next step starts from a new state
+    accepted = [h for (y, h), nxt in zip(calls, calls[1:] + [(None, 0)])
+                if nxt[0] is not y]
+    return np.cumsum(accepted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flow=st.sampled_from((TORUS, CAT, RIGID)),
+       seed=st.integers(0, 2**16), n=st.integers(1, 4),
+       tol=st.sampled_from((1e-9, 1e-7)), t=st.floats(0.05, 4.0),
+       sign=st.sampled_from((1.0, -1.0)), with_zero=st.booleans(),
+       fractions=st.lists(st.floats(0.0, 1.0), max_size=8),
+       data=st.data())
+def test_sample_times_never_change_the_trajectory(flow, seed, n, tol, t, sign,
+                                                 with_zero, fractions, data):
+    """The last sample is the single-time landing, bit for bit, and every
+    sample lies within a fixed bound of the landing at its own time."""
+    pts = np.stack([p.coords for p in sample_points(flow, n, seed=seed)])
+    ends = _step_ends(flow, pts, sign * t, tol)
+    picked = data.draw(st.lists(st.sampled_from(list(ends)), max_size=4))
+    times = np.unique(np.r_[[t * x for x in fractions], picked,
+                            [0.0] if with_zero else []])
+    times = sign * np.r_[times[times < t], t]
+    samples = orbit_batch(flow, pts, times, tol)
+    assert np.array_equal(samples[:, -1],
+                          orbit_batch(flow, pts, times[-1:], tol)[:, 0])
+    for j, tau in enumerate(times):
+        # Gronwall growth e^|t| (the fields are 1-Lipschitz) times a slack
+        # for a step that straddles a kink of the solid torus speed profile
+        bound = 100 * tol * math.exp(abs(tau))
+        landed = orbit_batch(flow, pts, times[j:j + 1], tol)[:, 0]
+        assert np.all(flow.manifold.distance_array(samples[:, j], landed)
+                      <= bound), (j, tau)
 
 
 def test_first_crossing_at_base():
