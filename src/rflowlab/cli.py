@@ -41,28 +41,73 @@ from .sections import holonomy, make_section, section_point
 
 COMMANDS = ("holonomy", "rset", "expansivity", "entropy", "uef", "demo")
 
-_SAMPLING_KEYS = ("tol", "x_range", "disk_radius_max")
-_LIST_KEYS = ("x_range", "t_choices", "grid", "eps_list", "t_list",
-              "fit_window")
-_INT_KEYS = ("n_samples", "n_bases", "n_max", "resolution", "n_points",
-             "count", "horizon_budget", "n_directions", "grid")
-# null means "use the default" (or, for holonomy's t, "draw from t_choices")
-_NULLABLE = ("gamma", "gamma_factor", "x_range", "disk_radius_max", "grid",
-             "fit_window", "jitter")
-_DIRECTIONS = ("stable", "unstable", "both")
-# the params each command's _run_* reads; any other key is rejected
-PARAM_KEYS = {
-    "holonomy": ("beta", "n_samples", "n_bases", "t", "t_choices",
-                 "domain_frac") + _SAMPLING_KEYS,
-    "rset": ("beta", "t", "n_max", "resolution", "n_points", "gamma",
-             "gamma_factor", "direction") + _SAMPLING_KEYS,
-    "expansivity": ("beta", "t", "n_max", "resolution", "n_points")
-    + _SAMPLING_KEYS,
-    "entropy": ("count", "grid", "jitter", "eps_list", "t_list", "orbit_step",
-                "fit_window") + _SAMPLING_KEYS,
-    "uef": ("eta", "beta", "t", "horizon_budget", "n_points", "n_directions")
-    + _SAMPLING_KEYS,
-    "demo": (),
+# Each command's params, as its _run_* reads them, with their defaults. A
+# default of None means "not given": null is allowed for exactly those keys.
+_SAMPLING = {"tol": 1e-9, "x_range": None, "disk_radius_max": None}
+DEFAULTS = {
+    "holonomy": {"beta": 0.1, "n_samples": 1000, "n_bases": 25, "t": None,
+                 "t_choices": None, "domain_frac": 0.98, **_SAMPLING},
+    "rset": {"beta": 0.1, "t": 1.0, "n_max": 12, "resolution": 101,
+             "n_points": 20, "gamma": None, "gamma_factor": None,
+             "direction": "both", **_SAMPLING},
+    "expansivity": {"beta": 0.1, "t": 1.0, "n_max": 12, "resolution": 41,
+                    "n_points": 20, **_SAMPLING},
+    "entropy": {"count": 4000, "grid": None, "jitter": True,
+                "eps_list": (0.2, 0.1), "t_list": tuple(map(float, range(9))),
+                "orbit_step": 0.05, "fit_window": None,
+                **_SAMPLING, "tol": 1e-7},
+    "uef": {"eta": None, "beta": 0.1, "t": 1.0, "horizon_budget": 20,
+            "n_points": 10, "n_directions": 16, **_SAMPLING},
+    "demo": {},
+}
+
+
+def _real(v):
+    """A number below 1e308 in size (so not NaN or inf); bools are not numbers."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) < 1e308
+
+
+def _int(v, least=1):
+    return _real(v) and isinstance(v, numbers.Integral) and v >= least
+
+
+def _reals(v, n=None):
+    return (isinstance(v, (list, tuple)) and all(map(_real, v))
+            and (n is None or len(v) == n))
+
+
+_POSITIVE = (lambda v: _real(v) and v > 0, "a number > 0")
+_COUNT = (_int, "an integer > 0")
+# key -> (test of a given value, what the test asks for)
+CHECKS = {
+    "beta": _POSITIVE, "t": _POSITIVE, "eta": _POSITIVE, "tol": _POSITIVE,
+    "orbit_step": _POSITIVE,
+    "n_samples": _COUNT, "n_bases": _COUNT, "n_max": _COUNT,
+    "n_points": _COUNT, "count": _COUNT, "horizon_budget": _COUNT,
+    "n_directions": _COUNT,
+    "resolution": (lambda v: _int(v, 3) and v % 2 == 1,
+                   "an odd integer >= 3"),
+    "domain_frac": (lambda v: _real(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "gamma": (lambda v: _real(v) and v >= 0, "a number >= 0"),
+    "gamma_factor": (lambda v: _real(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "disk_radius_max": (lambda v: _real(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "direction": (lambda v: v in ("stable", "unstable", "both"),
+                  "one of stable, unstable, both"),
+    "jitter": (lambda v: isinstance(v, bool), "true or false"),
+    "x_range": (lambda v: _reals(v, 2) and 0 <= v[0] <= v[1] <= 2,
+                "[lo, hi] with 0 <= lo <= hi <= 2"),
+    "t_choices": (lambda v: _reals(v) and all(x > 0 for x in v),
+                  "a list of numbers > 0"),
+    "grid": (lambda v: isinstance(v, (list, tuple)) and len(v) == 3
+             and all(map(_int, v)), "a list of three integers > 0"),
+    "eps_list": (lambda v: _reals(v) and len(v) > 0 and v[-1] > 0
+                 and all(a > b for a, b in zip(v, v[1:])),
+                 "a non-empty, strictly decreasing list of numbers > 0"),
+    "t_list": (lambda v: _reals(v) and len(v) > 0 and v[0] >= 0
+               and all(a < b for a, b in zip(v, v[1:])),
+               "a non-empty, strictly increasing list of numbers >= 0"),
+    "fit_window": (lambda v: _reals(v, 2) and v[0] < v[1],
+                   "[lo, hi] with lo < hi"),
 }
 
 
@@ -81,45 +126,22 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
     if path is not None:
         with open(path) as fh:
             data = json.load(fh)
+    if not isinstance(data, dict) or not isinstance(data.get("params", {}), dict):
+        raise TypeError("a config is a JSON object, with params a JSON object")
     overrides = overrides or {}
-    params = dict(data.get("params", {}))
-    params.update(overrides.get("params", {}))
-    merged = {
-        "flow": overrides.get("flow", data.get("flow")),
-        "command": overrides.get("command", data.get("command")),
-        "params": params,
-        "output_dir": overrides.get("output_dir", data.get("output_dir", "out")),
-        "seed": int(overrides.get("seed", data.get("seed", 0))),
-        "workers": int(overrides.get("workers", data.get("workers", 1))),
-    }
+    merged = {key: overrides.get(key, data.get(key, default))
+              for key, default in (("flow", None), ("command", None),
+                                   ("output_dir", "out"), ("seed", 0),
+                                   ("workers", 1))}
+    merged["params"] = {**data.get("params", {}), **overrides.get("params", {})}
     return ExperimentConfig(**merged)
 
 
-def _is_number(v):
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _is_int(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _wrong_kind(command, key, value):
-    """The kind of value ``key`` needs, if ``value`` is not one; else None."""
-    if value is None:
-        nullable = key in _NULLABLE or (command == "holonomy"
-                                        and key in ("t", "t_choices"))
-        return None if nullable else "given (not null)"
-    if key == "direction":
-        return None if value in _DIRECTIONS else f"one of {_DIRECTIONS}"
-    if key == "jitter":
-        return None
-    is_kind, one, many = ((_is_int, "an integer", "integers")
-                          if key in _INT_KEYS else
-                          (_is_number, "a number", "numbers"))
-    if key in _LIST_KEYS:
-        ok = isinstance(value, (list, tuple)) and all(map(is_kind, value))
-        return None if ok else f"a list of {many}"
-    return None if is_kind(value) else one
+def resolved_params(config: ExperimentConfig) -> dict:
+    """Every param of the config's command: the given value, else its default."""
+    given = config.params
+    return {key: given.get(key, default)
+            for key, default in DEFAULTS[config.command].items()}
 
 
 def validate(config: ExperimentConfig):
@@ -129,46 +151,40 @@ def validate(config: ExperimentConfig):
         bad.append(f"unknown flow {config.flow!r}")
     if config.command not in COMMANDS:
         bad.append(f"unknown command {config.command!r}")
-    if config.workers < 1:
-        bad.append("workers must be >= 1")
-    p = config.params
+    for key, least in (("seed", 0), ("workers", 1)):
+        if not _int(getattr(config, key), least):
+            bad.append(f"{key} must be an integer >= {least}, not "
+                       f"{json.dumps(getattr(config, key), default=str)}")
     if bad:
         return bad
-    unknown = sorted(set(p) - set(PARAM_KEYS[config.command]))
+    defaults = DEFAULTS[config.command]
+    unknown = sorted(set(config.params) - set(defaults))
     if unknown:
         bad.append(f"unknown {config.command} params: {', '.join(unknown)}")
-    bad += [f"{k} must be {kind}, not {json.dumps(v, default=str)}"
-            for k, v in p.items()
-            if k not in unknown and (kind := _wrong_kind(config.command, k, v))]
+    bad += [f"{k} must be {CHECKS[k][1]}, not {json.dumps(v, default=str)}"
+            for k, v in config.params.items() if k in defaults and not
+            (v is None and defaults[k] is None or CHECKS[k][0](v))]
     if bad:
         return bad
+    # checks that need the flow or more than one key
     flow = get_flow(config.flow)
-    beta = p.get("beta")
-    if beta is not None and beta > flow.rescale.beta0 + 1e-12:
-        bad.append(f"beta={beta} exceeds beta0={flow.rescale.beta0}")
-    if beta is not None and beta <= 0:
-        bad.append("beta must be positive")
-    for key in ("t", "n_max", "resolution", "n_points", "n_samples", "n_bases",
-                "horizon_budget", "count"):
-        if p.get(key) is not None and p[key] <= 0:
-            bad.append(f"{key} must be positive, not {p[key]}")
-    if p.get("resolution") is not None and p["resolution"] % 2 == 0:
-        bad.append("resolution must be odd")
-    eps_list = p.get("eps_list")
-    if eps_list is not None and any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        bad.append("eps_list must be strictly decreasing")
-    t_list = p.get("t_list")
-    if t_list is not None and any(b <= a for a, b in zip(t_list, t_list[1:])):
-        bad.append("t_list must be strictly increasing")
-    if config.command == "holonomy" and p.get("t") is None \
-            and not p.get("t_choices"):
+    p = resolved_params(config)
+    if "beta" in p and p["beta"] > flow.rescale.beta0 + 1e-12:
+        bad.append(f"beta={p['beta']} exceeds beta0={flow.rescale.beta0}")
+    elif "gamma" in p and p["gamma"] is not None and \
+            p["gamma"] > p["beta"] * flow.rescale.L ** -p["t"] + 1e-12:
+        bad.append(f"gamma={p['gamma']} exceeds the section radius factor "
+                   f"beta / L^t = {p['beta'] * flow.rescale.L ** -p['t']:.4g}")
+    if "grid" in p and p["grid"] is not None \
+            and flow.manifold.disk_axes is not None:
+        bad.append(f"grid={json.dumps(p['grid'])} needs the suspension chart; "
+                   f"{config.flow} has a solid-torus chart")
+    if config.command == "holonomy" and p["t"] is None and not p["t_choices"]:
         bad.append("holonomy needs t or a non-empty t_choices, not "
-                   f"t={json.dumps(p.get('t'))}, "
-                   f"t_choices={json.dumps(p.get('t_choices'))}")
-    if config.command == "uef":
-        eta = p.get("eta")
-        if eta is None or eta <= 0:
-            bad.append("uef needs eta > 0")
+                   f"t={json.dumps(p['t'])}, "
+                   f"t_choices={json.dumps(p['t_choices'])}")
+    if config.command == "uef" and p["eta"] is None:
+        bad.append("uef needs eta")
     return bad
 
 
@@ -199,29 +215,23 @@ def _write_json(path, payload):
 
 # ------------------------------------------------------------------ experiments
 
-def _sample_kwargs(flow, p):
+def _sample_kwargs(p):
     kw = {}
-    if p.get("x_range") is not None:
+    if p["x_range"] is not None:
         kw["x_range"] = tuple(p["x_range"])
-    if p.get("disk_radius_max") is not None:
+    if p["disk_radius_max"] is not None:
         kw["disk_radius_max"] = float(p["disk_radius_max"])
     return kw
 
 
-def _run_holonomy(config, outdir):
+def _run_holonomy(config, p, outdir):
     flow = get_flow(config.flow)
-    p = config.params
-    beta = float(p.get("beta", 0.1))
-    n_samples = int(p.get("n_samples", 1000))
-    n_bases = int(p.get("n_bases", 25))
-    t_fixed = p.get("t")
-    t_choices = p.get("t_choices")
-    domain_frac = float(p.get("domain_frac", 0.98))
-    tol = float(p.get("tol", 1e-9))
+    beta, domain_frac, tol = (float(p[k]) for k in ("beta", "domain_frac", "tol"))
+    n_samples, n_bases = int(p["n_samples"]), int(p["n_bases"])
+    t_fixed, t_choices = p["t"], p["t_choices"]
     L = flow.rescale.L
 
-    bases = sample_points(flow, n_bases, seed=config.seed,
-                          **_sample_kwargs(flow, p))
+    bases = sample_points(flow, n_bases, seed=config.seed, **_sample_kwargs(p))
     per_base = int(math.ceil(n_samples / n_bases))
 
     def work(item):
@@ -265,24 +275,19 @@ def _run_holonomy(config, outdir):
     return summary
 
 
-def _run_rset(config, outdir):
+def _run_rset(config, p, outdir):
     flow = get_flow(config.flow)
-    p = config.params
-    beta = float(p.get("beta", 0.1))
-    t = float(p.get("t", 1.0))
-    n_max = int(p.get("n_max", 12))
-    resolution = int(p.get("resolution", 101))
-    n_points = int(p.get("n_points", 20))
-    gamma = p.get("gamma")
-    if gamma is None and p.get("gamma_factor") is not None:
+    beta, t, tol = (float(p[k]) for k in ("beta", "t", "tol"))
+    n_max, resolution, n_points = (int(p[k]) for k in
+                                   ("n_max", "resolution", "n_points"))
+    gamma, gamma_factor = p["gamma"], p["gamma_factor"]
+    if gamma is None and gamma_factor is not None:
         # sphere radius factor expressed relative to the shrunken section
-        gamma = float(p["gamma_factor"]) * beta / flow.rescale.L ** t
-    directions = {"both": ("stable", "unstable")}.get(
-        p.get("direction", "both"), (p.get("direction", "both"),))
-    tol = float(p.get("tol", 1e-9))
+        gamma = float(gamma_factor) * beta / flow.rescale.L ** t
+    directions = {"both": ("stable", "unstable")}.get(p["direction"],
+                                                      (p["direction"],))
 
-    pts = sample_points(flow, n_points, seed=config.seed,
-                        **_sample_kwargs(flow, p))
+    pts = sample_points(flow, n_points, seed=config.seed, **_sample_kwargs(p))
     tasks = [(i, x, d) for i, x in enumerate(pts) for d in directions]
 
     def work(task):
@@ -319,17 +324,12 @@ def _run_rset(config, outdir):
     return summary
 
 
-def _run_expansivity(config, outdir):
+def _run_expansivity(config, p, outdir):
     flow = get_flow(config.flow)
-    p = config.params
-    beta = float(p.get("beta", 0.1))
-    t = float(p.get("t", 1.0))
-    n_max = int(p.get("n_max", 12))
-    resolution = int(p.get("resolution", 41))
-    n_points = int(p.get("n_points", 20))
-    tol = float(p.get("tol", 1e-9))
-    pts = sample_points(flow, n_points, seed=config.seed,
-                        **_sample_kwargs(flow, p))
+    beta, t, tol = (float(p[k]) for k in ("beta", "t", "tol"))
+    n_max, resolution, n_points = (int(p[k]) for k in
+                                   ("n_max", "resolution", "n_points"))
+    pts = sample_points(flow, n_points, seed=config.seed, **_sample_kwargs(p))
 
     def work(chunk):
         return check_expansivity(flow, chunk, beta, t, n_max, resolution,
@@ -358,19 +358,16 @@ def _run_expansivity(config, outdir):
     return summary
 
 
-def _run_entropy(config, outdir):
+def _run_entropy(config, p, outdir):
     flow = get_flow(config.flow)
-    p = config.params
-    spec = {"count": int(p.get("count", 4000)), "seed": config.seed,
-            **_sample_kwargs(flow, p)}
-    if p.get("grid") is not None:
-        spec["grid"] = [int(v) for v in p["grid"]]
-        spec["jitter"] = bool(p.get("jitter", True))
-    rep = entropy_estimate(flow, spec, p.get("eps_list", [0.2, 0.1]),
-                           p.get("t_list", list(np.arange(0.0, 8.5, 1.0))),
-                           float(p.get("orbit_step", 0.05)),
-                           tol=float(p.get("tol", 1e-7)),
-                           fit_window=p.get("fit_window"))
+    spec = {"count": int(p["count"]), "seed": config.seed, **_sample_kwargs(p)}
+    grid, jitter = p["grid"], p["jitter"]
+    if grid is not None:
+        spec["grid"] = [int(v) for v in grid]
+        spec["jitter"] = jitter
+    rep = entropy_estimate(flow, spec, p["eps_list"], p["t_list"],
+                           float(p["orbit_step"]), tol=float(p["tol"]),
+                           fit_window=p["fit_window"])
     rep.to_csv(outdir / "entropy_counts.csv")
     rep.to_json(outdir / "entropy_summary.json")
     rep.to_dat(outdir / "entropy_eps{eps}.dat")
@@ -379,20 +376,14 @@ def _run_entropy(config, outdir):
             "known_entropy": flow.known_entropy}
 
 
-def _run_uef(config, outdir):
+def _run_uef(config, p, outdir):
     flow = get_flow(config.flow)
-    p = config.params
-    eta = float(p["eta"])
-    beta = float(p.get("beta", 0.1))
-    t = float(p.get("t", 1.0))
-    budget = int(p.get("horizon_budget", 20))
-    n_points = int(p.get("n_points", 10))
-    n_dirs = int(p.get("n_directions", 16))
-    pts = sample_points(flow, n_points, seed=config.seed,
-                        **_sample_kwargs(flow, p))
+    eta, beta, t, tol = (float(p[k]) for k in ("eta", "beta", "t", "tol"))
+    budget, n_points, n_dirs = (int(p[k]) for k in
+                                ("horizon_budget", "n_points", "n_directions"))
+    pts = sample_points(flow, n_points, seed=config.seed, **_sample_kwargs(p))
     rep = uniform_expansiveness_scan(flow, pts, eta, beta, t, budget,
-                                     n_directions=n_dirs,
-                                     tol=float(p.get("tol", 1e-9)),
+                                     n_directions=n_dirs, tol=tol,
                                      on_budget="report")
     rows = [[pi, di, n] for pi, di, n in rep.witnesses]
     _write_csv(outdir / "uef_witnesses.csv",
@@ -407,7 +398,7 @@ def _run_uef(config, outdir):
     return summary
 
 
-def _run_demo(config, outdir):
+def _run_demo(config, p, outdir):
     """A quick tour: one small run of each experiment on suitable flows."""
     results = {}
     base_seed = config.seed
@@ -432,7 +423,7 @@ def _run_demo(config, outdir):
                                workers=config.workers)
         subdir = outdir / cmd
         subdir.mkdir(parents=True, exist_ok=True)
-        results[cmd] = _EXPERIMENTS[cmd](sub, subdir)
+        results[cmd] = _EXPERIMENTS[cmd](sub, resolved_params(sub), subdir)
     _write_json(outdir / "demo_summary.json", results)
     return results
 
@@ -454,17 +445,19 @@ def run(config: ExperimentConfig) -> int:
         for msg in problems:
             print(f"config error: {msg}", file=sys.stderr)
         return 2
+    params = resolved_params(config)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     manifest = {
         "config": asdict(config),
+        "params": params,
         "version": __version__,
         "numpy": np.__version__,
         "python": sys.version.split()[0],
     }
     try:
-        summary = _EXPERIMENTS[config.command](config, outdir)
+        summary = _EXPERIMENTS[config.command](config, params, outdir)
         manifest["status"] = "ok"
         manifest["summary"] = summary
         code = 0
@@ -485,7 +478,12 @@ def main(argv=None) -> int:
         description="Rescaled-expansiveness experiments on built-in flows.")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
-        sp = sub.add_parser(cmd)
+        sp = sub.add_parser(
+            cmd, formatter_class=argparse.RawDescriptionHelpFormatter,
+            epilog="params (KEY = default: what a value must be; null is "
+            "allowed where the default is null):\n" + ("\n".join(
+                f"  {k} = {json.dumps(v)}: {CHECKS[k][1]}"
+                for k, v in DEFAULTS[cmd].items()) or "  none"))
         sp.add_argument("--config", type=str, default=None,
                         help="JSON config file")
         sp.add_argument("--flow", type=str, default=None)
@@ -494,7 +492,8 @@ def main(argv=None) -> int:
         sp.add_argument("--workers", type=int, default=None)
         sp.add_argument("--param", action="append", default=[],
                         metavar="KEY=VALUE",
-                        help="override a numeric parameter (repeatable)")
+                        help="set a param; VALUE is read as JSON, else as "
+                        "a string (repeatable)")
     args = parser.parse_args(argv)
 
     overrides = {"command": args.command, "params": {}}

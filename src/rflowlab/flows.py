@@ -255,10 +255,6 @@ def field_norm(f: FlowSpec, x: Point) -> float:
     return float(np.linalg.norm(eval_field(f, x)))
 
 
-def field_norm_array(f: FlowSpec, coords):
-    return np.linalg.norm(f.field(coords), axis=-1)
-
-
 def estimate_lipschitz(f: FlowSpec, samples: int = 1000, step: float = 1e-5,
                        seed: int = 0) -> RescaleConstants:
     """Estimate rescale constants from the field's spatial derivative.

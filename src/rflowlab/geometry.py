@@ -259,11 +259,6 @@ class ModelManifold:
         raw = frame.base.coords + v @ frame.axes
         return self.wrap(raw)
 
-    def exp_array(self, frame: NormalFrame, v):
-        """Vectorized exp for (..., d-1) coefficient arrays; no disk check."""
-        v = np.asarray(v, dtype=float)
-        return frame.base.coords + v @ frame.axes
-
 
 # Spec-level operation surface -------------------------------------------------
 

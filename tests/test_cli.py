@@ -8,8 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rflowlab.cli import ExperimentConfig, load_config, main, run, validate
+from rflowlab import cli
+from rflowlab.cli import (CHECKS, COMMANDS, DEFAULTS, ExperimentConfig,
+                          load_config, main, resolved_params, run, validate)
+from rflowlab.flows import FLOW_NAMES
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -68,6 +73,26 @@ def test_unknown_param_key_exits_2(tmp_path, capsys):
     ("holonomy_cat.json", "beta=null"),
     ("tube_torus.json", "t_choices=[]"),
     ("tube_torus.json", "t_choices=null"),
+    ("uef_cat.json", "tol=-1"),
+    ("uef_cat.json", "tol=NaN"),
+    ("entropy_rigid.json", "orbit_step=0"),
+    ("entropy_rigid.json", "orbit_step=-0.05"),
+    ("entropy_rigid.json", "fit_window=[1]"),
+    ("uef_cat.json", "n_directions=0"),
+    ("uef_cat.json", "n_directions=-3"),
+    ("holonomy_cat.json", "domain_frac=5"),
+    ("entropy_cat.json", 'jitter="false"'),
+    ("entropy_cat.json", "jitter=null"),
+    ("rset_torus.json", "x_range=[1]"),
+    ("rset_torus.json", "disk_radius_max=2"),
+    ("entropy_cat.json", "grid=[4, 4]"),
+    ("entropy_rigid.json", "eps_list=[]"),
+    ("entropy_rigid.json", "t_list=[]"),
+    ("rset_cat_sphere.json", "gamma=-1"),
+    ("rset_cat_sphere.json", "resolution=1"),
+    ("rset_cat_sphere.json", "gamma_factor=5"),
+    ("rset_cat_sphere.json", "gamma=0.5"),
+    ("entropy_torus.json", "grid=[4, 4, 4]"),
 ])
 def test_bad_param_value_exits_2(tmp_path, capsys, config, override):
     key, _, value = override.partition("=")
@@ -77,6 +102,31 @@ def test_bad_param_value_exits_2(tmp_path, capsys, config, override):
     assert code == 2
     err = capsys.readouterr().err
     assert key in err and value in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("payload, flags, named", [
+    ({"seed": "abc"}, [], "seed"),
+    ({"seed": 1.5}, [], "seed"),
+    ({}, ["--seed", "-1"], "seed"),
+    ({"workers": 1.7}, [], "workers"),
+    ({"workers": 0}, [], "workers"),
+    ({"params": [1, 2]}, [], "params"),
+])
+def test_bad_config_field_exits_2(tmp_path, capsys, payload, flags, named):
+    base = json.loads((CONFIGS / "uef_rigid.json").read_text())
+    path = _write_config(tmp_path, {**base, **payload,
+                                    "output_dir": str(tmp_path / "o")})
+    assert main(["uef", "--config", str(path), *flags]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = _write_config(tmp_path, [1, 2])
+    assert main(["uef", "--config", str(path),
+                 "--output-dir", str(tmp_path / "o")]) == 2
+    assert "JSON object" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -99,6 +149,94 @@ def test_holonomy_needs_a_time_exits_2(tmp_path, capsys):
 def test_null_is_kept_where_it_means_the_default(config, nulls):
     cfg = load_config(CONFIGS / config, {"params": dict.fromkeys(nulls)})
     assert validate(cfg) == []
+
+
+# a small valid run of each command
+TINY = {
+    "holonomy": ("cat_suspension", {"t": 1.0, "n_samples": 2, "n_bases": 1}),
+    "rset": ("cat_suspension", {"n_max": 2, "resolution": 5, "n_points": 1,
+                                "gamma_factor": 0.5}),
+    "expansivity": ("rigid_rotation", {"n_max": 2, "resolution": 5,
+                                       "n_points": 1}),
+    "entropy": ("rigid_rotation", {"count": 150, "eps_list": [0.2],
+                                   "t_list": [0.0, 1.0, 2.0]}),
+    "uef": ("rigid_rotation", {"eta": 0.01, "horizon_budget": 2,
+                               "n_points": 1, "n_directions": 2}),
+}
+
+
+def _tiny(command, **params):
+    flow, base = TINY[command]
+    return ExperimentConfig(flow=flow, command=command,
+                            params={**base, **params})
+
+
+def test_table_has_one_check_per_key_and_defaults_pass_it():
+    assert set(CHECKS) == {k for keys in DEFAULTS.values() for k in keys}
+    for command, defaults in DEFAULTS.items():
+        for key, default in defaults.items():
+            assert default is None or CHECKS[key][0](default), (command, key)
+
+
+@pytest.mark.parametrize("command", sorted(TINY))
+def test_null_is_allowed_exactly_where_the_default_is_none(command):
+    assert validate(_tiny(command)) == []
+    for key, default in DEFAULTS[command].items():
+        problems = validate(_tiny(command, **{key: None}))
+        assert any(msg.startswith(f"{key} must be") for msg in problems) \
+            == (default is not None), (key, problems)
+
+
+class _Recording(dict):
+    """A mapping that records which keys are read."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("command", sorted(TINY))
+def test_every_table_key_is_read_by_its_command(tmp_path, command):
+    cfg = _tiny(command)
+    params = _Recording(resolved_params(cfg))
+    cli._EXPERIMENTS[command](cfg, params, tmp_path)
+    assert params.read == set(DEFAULTS[command])
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+# values near the kinds the table asks for, so the cross-key checks run too
+_VALUE = (_JSON | st.floats(-1, 3) | st.integers(-2, 120)
+          | st.lists(st.floats(-1, 9) | st.integers(-1, 50), max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_validate_returns_a_list_for_any_json_params(data):
+    command = data.draw(st.sampled_from(COMMANDS))
+    keys = st.sampled_from(sorted(DEFAULTS[command]) + ["not_a_param"])
+    cfg = ExperimentConfig(
+        flow=data.draw(st.sampled_from(FLOW_NAMES)), command=command,
+        params=data.draw(st.dictionaries(keys, _VALUE, max_size=6)),
+        seed=data.draw(_VALUE), workers=data.draw(st.just(1) | _VALUE))
+    problems = validate(cfg)
+    assert isinstance(problems, list)
+    assert all(isinstance(msg, str) for msg in problems)
+
+
+def test_help_lists_each_param_with_its_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["expansivity", "--help"])
+    out = capsys.readouterr().out
+    for key, default in DEFAULTS["expansivity"].items():
+        assert f"{key} = {json.dumps(default)}" in out
 
 
 def test_shipped_configs_validate():
@@ -135,6 +273,7 @@ def test_holonomy_run_outputs(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "ok"
     assert "holonomy_samples.csv" in manifest["outputs"]
+    assert manifest["params"] == {**DEFAULTS["holonomy"], **cfg.params}
 
 
 def test_rset_run_outputs(tmp_path):
