@@ -179,6 +179,14 @@ def validate(config: ExperimentConfig):
             and flow.manifold.disk_axes is not None:
         bad.append(f"grid={json.dumps(p['grid'])} needs the suspension chart; "
                    f"{config.flow} has a solid-torus chart")
+    if flow.manifold.disk_axes is None:
+        bad += [f"{k}={json.dumps(p[k])} needs the solid-torus chart; "
+                f"{config.flow} has the suspension chart"
+                for k in ("x_range", "disk_radius_max") if p.get(k) is not None]
+    # jitter=true is the default, so only an unjittered lattice asks for grid
+    if "jitter" in p and not p["jitter"] and p["grid"] is None:
+        bad.append("jitter=false needs grid; without it the sample is not "
+                   "a lattice")
     if config.command == "holonomy" and p["t"] is None and not p["t_choices"]:
         bad.append("holonomy needs t or a non-empty t_choices, not "
                    f"t={json.dumps(p['t'])}, "

@@ -120,16 +120,9 @@ def _deck_variants(manifold, pos):
     translation) so that boundary translates of them cover a query ball.
     """
     variants = [np.asarray(pos, dtype=float)]
-    g = manifold.gluing
-    if g is not None:
-        for k in (1, -1):
-            img = manifold._deck_image(pos, k)
-            for ax, per in enumerate(manifold.periodic_axes):
-                if per is None or ax == g.axis:
-                    continue
-                lo = manifold.axis_origins[ax]
-                img[..., ax] = lo + np.mod(img[..., ax] - lo, per)
-            variants.append(img)
+    if manifold.gluing is not None:
+        variants += [manifold._into_domain(manifold._deck_image(pos, k),
+                                           glued=False) for k in (1, -1)]
     return variants
 
 

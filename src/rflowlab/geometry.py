@@ -6,31 +6,51 @@ linear map to two designated transverse axes (the glued axis of a mapping
 torus), and optionally a pair of axes constrained to the closed unit disk.
 
 Because every built-in manifold is flat, the exponential map at a point is
-chart addition followed by wrapping, and distances use a bounded search over
-deck representatives: exact translation minimization on periodic axes, and
-at most one crossing of the glued axis. When the gluing applies a linear map
-that is not an isometry, comparisons that cross the glued fiber inherit its
-stretch; the distance stays exact for points on a common transverse fiber
-and for separations well below a quarter period, which is where every
-rescaled comparison in this library lives.
+chart addition followed by wrapping, and distances search deck
+representatives: exact translation minimization on periodic axes, and at
+most one crossing of the glued axis. ``displacement(p, q)`` takes the
+shortest of q's images one level down, on, and one level up the glued axis
+(ties to the lowest level); ``distance_array`` also takes p's images one
+level down and up. The distance is therefore the shorter displacement norm
+of (p, q) and (q, p), bit for bit, and equals that of (p, q) on a common
+transverse fiber and for separations below a quarter period that do not
+cross the glued fiber. When the gluing map is not an isometry, comparisons
+across the glued fiber inherit its stretch and the two orders differ.
+
+A glued candidate's computed norm is at least |z| (1 - 2u) for its
+glued-axis component z, and z differs from ds -+ per (ds the in-sheet
+candidate's component) by a few units u of roundoff. A glued candidate with
+|ds -+ per| > best (1 + 1e-12) + 1e-12 per, best the in-sheet norm, can
+therefore neither beat nor tie it and is never computed; the candidates
+that are computed take the same float operations in the same order as an
+exhaustive search, so results are its exact bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateField, OutOfManifold
 
 _DISK_SLACK = 1e-9
-_ORTHO_TOL = 1e-10
 
 
 def _readonly(a):
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _norm(d):
+    """Row norms of (..., d) with the bits of ``np.linalg.norm(d, axis=-1)``,
+    which sums three axes in order, without its per-row loop."""
+    sq = d[..., 0] * d[..., 0]
+    for ax in range(1, d.shape[-1]):
+        sq = sq + d[..., ax] * d[..., ax]
+    return np.sqrt(sq)
 
 
 @dataclass(frozen=True)
@@ -86,6 +106,37 @@ class ModelManifold:
 
     # ------------------------------------------------------------------ wrap
 
+    @cached_property
+    def _periodic(self):
+        """Periodic axes as (index, origins, periods), keyed by whether the
+        glued axis is among them. Adjacent axes are a slice and shared values
+        scalars, so numpy runs one flat loop rather than one per point."""
+        glued = self.gluing.axis if self.gluing is not None else None
+        tables = {}
+        for key in (True, False):
+            axes = [ax for ax, per in enumerate(self.periodic_axes)
+                    if per is not None and (key or ax != glued)]
+            lo, per = ([v[ax] for ax in axes]
+                       for v in (self.axis_origins, self.periodic_axes))
+            lo, per = (v[0] if len(set(v)) == 1 else np.array(v)
+                       for v in (lo, per))
+            if axes and axes == list(range(axes[0], axes[-1] + 1)):
+                axes = slice(axes[0], axes[-1] + 1)
+            tables[key] = axes, lo, per
+        return tables
+
+    def _into_domain(self, x, glued=True):
+        """Translate x in place into the fundamental domain on the periodic
+        axes, the glued axis included only when ``glued``. The arithmetic
+        runs in place: full-size temporaries would raise peak memory."""
+        axes, lo, per = self._periodic[glued]
+        v = x[..., axes]
+        v -= lo
+        np.mod(v, per, out=v)
+        v += lo
+        x[..., axes] = v    # a no-op where v is a view
+        return x
+
     def wrap_array(self, raw):
         """Map raw chart coordinates to canonical representatives, vectorized.
 
@@ -97,26 +148,15 @@ class ModelManifold:
         out = arr.reshape(-1, self.chart_dims)
         g = self.gluing
         if g is not None:
-            per = self.periodic_axes[g.axis]
-            lo = self.axis_origins[g.axis]
-            k = np.floor((out[:, g.axis] - lo) / per).astype(int)
-            if np.any(k != 0):
-                i, j = g.target_axes
-                for kv in np.unique(k):
-                    if kv == 0:
-                        continue
-                    sel = k == kv
-                    m = g.power(int(kv))
-                    vi = out[sel, i].copy()
-                    vj = out[sel, j].copy()
-                    out[sel, i] = m[0, 0] * vi + m[0, 1] * vj
-                    out[sel, j] = m[1, 0] * vi + m[1, 1] * vj
-                out[:, g.axis] -= k * per
-        for ax, per in enumerate(self.periodic_axes):
-            if per is None:
-                continue
-            lo = self.axis_origins[ax]
-            out[:, ax] = lo + np.mod(out[:, ax] - lo, per)
+            lo, per = self.axis_origins[g.axis], self.periodic_axes[g.axis]
+            level = np.floor((out[:, g.axis] - lo) / per).astype(int)
+            i, j = g.target_axes
+            for k in np.unique(level[level != 0]):
+                sel = level == k
+                out[sel, i], out[sel, j] = self._glue(-int(k), out[sel, i],
+                                                      out[sel, j])
+            out[:, g.axis] -= level * per
+        self._into_domain(out)
         if self.disk_axes is not None:
             i, j = self.disk_axes
             r2 = out[:, i] ** 2 + out[:, j] ** 2
@@ -132,7 +172,75 @@ class ModelManifold:
     def wrap(self, raw) -> Point:
         return Point(_readonly(self.wrap_array(np.asarray(raw, dtype=float))))
 
-    # ------------------------------------------------------------ displacement
+    # ------------------------------------------------------------ deck search
+
+    def _glue(self, k, xi, xj):
+        """Target-axis coordinates pushed k levels through the gluing: the
+        gluing matrix's power -k applied to (xi, xj)."""
+        m = self.gluing.power(-k)
+        return m[0, 0] * xi + m[0, 1] * xj, m[1, 0] * xi + m[1, 1] * xj
+
+    def _deck_image(self, x, k):
+        """Coordinates of x pushed k levels through the gluing (a new array):
+        the target axes glued, the glued axis shifted by k periods."""
+        g = self.gluing
+        i, j = g.target_axes
+        out = np.array(x, dtype=float)
+        out[..., i], out[..., j] = self._glue(k, out[..., i], out[..., j])
+        out[..., g.axis] += k * self.periodic_axes[g.axis]
+        return out
+
+    def _reduce(self, d):
+        """Translation-reduce a fresh chart difference in place on every
+        periodic axis but the glued one."""
+        glued = self.gluing.axis if self.gluing is not None else None
+        for ax, per in enumerate(self.periodic_axes):
+            if per is not None and ax != glued:
+                d[..., ax] -= per * np.rint(d[..., ax] / per)
+        return d
+
+    def _deck_search(self, p, q, p_images):
+        """Shortest q-image difference from p, (..., d), and the flat norms
+        of the shortest candidate, p's images included when ``p_images``.
+
+        The in-sheet candidate is computed for every pair, a glued one only
+        where its glued-axis bound (module docstring) lets it count. Ties go
+        to the lowest level of q, as an argmin over (-1, 0, +1) takes them.
+        """
+        p = np.asarray(p, dtype=float)
+        q = np.asarray(q, dtype=float)
+        best = self._reduce(q - p)
+        norm = _norm(best).reshape(-1)
+        flat_best = best.reshape(-1, self.chart_dims)
+        ax = self.gluing.axis
+        per = self.periodic_axes[ax]
+        gap = best[..., ax].reshape(-1)
+        lim = norm * (1.0 + 1e-12) + 1e-12 * per
+        # q one level down or p one level up can count only where
+        # |gap - per| <= lim, the reverse pair where |gap + per| <= lim;
+        # testing one side of each keeps a superset of those pairs
+        down = np.flatnonzero(gap >= per - lim)
+        up = np.flatnonzero(gap <= lim - per)
+
+        def rows(x, idx):
+            if x.shape == best.shape:
+                return x.reshape(-1, self.chart_dims)[idx]
+            return np.broadcast_to(x, best.shape)[
+                np.unravel_index(idx, best.shape[:-1])]
+
+        for k, idx in ((-1, down), (1, up)):
+            if idx.size == 0:
+                continue
+            pk, qk = rows(p, idx), rows(q, idx)
+            d = self._reduce(self._deck_image(qk, k) - pk)
+            dn = _norm(d)
+            win = dn <= norm[idx] if k < 0 else dn < norm[idx]
+            norm[idx[win]] = dn[win]
+            flat_best[idx[win]] = d[win]
+            if p_images:
+                dn = _norm(self._reduce(qk - self._deck_image(pk, -k)))
+                norm[idx] = np.minimum(norm[idx], dn)
+        return best, norm
 
     def displacement(self, p, q):
         """Deck-minimal chart vector w with q ~ p + w, vectorized over (..., d).
@@ -140,77 +248,21 @@ class ModelManifold:
         Candidates: translation wrap on periodic axes, plus at most one
         crossing of the glued axis with the identification applied to q.
         """
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
         if self.gluing is None:
-            return self._wrap_delta(q - p)
-        g = self.gluing
-        per = self.periodic_axes[g.axis]
-        i, j = g.target_axes
-        cands = []
-        for k in (-1, 0, 1):
-            qk = np.array(np.broadcast_to(q, np.broadcast(p, q).shape), dtype=float)
-            if k != 0:
-                m = g.power(-k)
-                vi = qk[..., i].copy()
-                vj = qk[..., j].copy()
-                qk[..., i] = m[0, 0] * vi + m[0, 1] * vj
-                qk[..., j] = m[1, 0] * vi + m[1, 1] * vj
-                qk[..., g.axis] += k * per
-            d = qk - p
-            d = self._wrap_delta(d, skip_axis=g.axis)
-            cands.append(d)
-        stack = np.stack(cands)                       # (3, ..., d)
-        norms = np.linalg.norm(stack, axis=-1)        # (3, ...)
-        best = np.argmin(norms, axis=0)
-        return np.take_along_axis(stack, best[None, ..., None], axis=0)[0]
-
-    def _wrap_delta(self, d, skip_axis=None):
-        d = np.array(d, dtype=float)
-        for ax, per in enumerate(self.periodic_axes):
-            if per is None or ax == skip_axis:
-                continue
-            d[..., ax] -= per * np.round(d[..., ax] / per)
-        return d
+            return self._reduce(np.subtract(q, p, dtype=float))
+        return self._deck_search(p, q, p_images=False)[0]
 
     # --------------------------------------------------------------- distance
-
-    def _deck_image(self, q, k):
-        """Coordinates of q pushed k levels through the gluing."""
-        g = self.gluing
-        per = self.periodic_axes[g.axis]
-        i, j = g.target_axes
-        m = g.power(-k)
-        out = np.array(q, dtype=float, copy=True)
-        vi = out[..., i].copy()
-        vj = out[..., j].copy()
-        out[..., i] = m[0, 0] * vi + m[0, 1] * vj
-        out[..., j] = m[1, 0] * vi + m[1, 1] * vj
-        out[..., g.axis] += k * per
-        return out
 
     def distance_array(self, p, q):
         """Chart distance, vectorized; symmetric by construction.
 
-        Distance-only fast path: accumulates a running minimum over deck
-        candidates without materializing displacement vectors.
+        The candidates of ``displacement`` and p's own glued images.
         """
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
         if self.gluing is None:
-            return np.linalg.norm(self._wrap_delta(q - p), axis=-1)
-        ax = self.gluing.axis
-        best = np.linalg.norm(self._wrap_delta(q - p, skip_axis=ax), axis=-1)
-        for k in (-1, 1):
-            d = np.linalg.norm(
-                self._wrap_delta(self._deck_image(q, k) - p, skip_axis=ax),
-                axis=-1)
-            best = np.minimum(best, d)
-            d = np.linalg.norm(
-                self._wrap_delta(q - self._deck_image(p, k), skip_axis=ax),
-                axis=-1)
-            best = np.minimum(best, d)
-        return best
+            return _norm(self._reduce(np.subtract(q, p, dtype=float)))
+        best, norm = self._deck_search(p, q, p_images=True)
+        return norm.reshape(best.shape[:-1])[()]
 
     def distance(self, p: Point, q: Point) -> float:
         return float(self.distance_array(p.coords, q.coords))

@@ -93,6 +93,14 @@ def test_unknown_param_key_exits_2(tmp_path, capsys):
     ("rset_cat_sphere.json", "gamma_factor=5"),
     ("rset_cat_sphere.json", "gamma=0.5"),
     ("entropy_torus.json", "grid=[4, 4, 4]"),
+    ("uef_cat.json", "x_range=[0.1, 0.2]"),
+    ("uef_cat.json", "disk_radius_max=0.01"),
+    ("holonomy_cat.json", "x_range=[0.5, 1.5]"),
+    ("rset_cat_sphere.json", "disk_radius_max=0.5"),
+    ("expansivity_cat.json", "x_range=[0, 2]"),
+    ("entropy_cat.json", "disk_radius_max=0.3"),
+    ("entropy_rigid.json", "jitter=false"),
+    ("entropy_torus.json", "jitter=false"),
 ])
 def test_bad_param_value_exits_2(tmp_path, capsys, config, override):
     key, _, value = override.partition("=")
@@ -351,11 +359,31 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.params["beta"] == 0.1
 
 
-def test_import_does_not_load_scipy():
-    # scipy is imported only where entropy builds its KD-tree
-    probe = "import sys, rflowlab, rflowlab.cli; print('scipy' in sys.modules)"
+def _probe(code):
+    """Last line printed by ``code`` run in a fresh interpreter."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
+    out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported only where entropy builds its KD-tree
+    assert _probe("import sys, rflowlab, rflowlab.cli; "
+                  "print('scipy' in sys.modules)") == "False"
+
+
+def test_runs_other_than_entropy_do_not_load_scipy(tmp_path):
+    """Only entropy's KD-tree may load scipy: importing scipy.ndimage after
+    rflowlab.cli raises resident memory from 31 to 55 MiB, far past the 10 %
+    peak-memory bound of a 52 MiB rset benchmark run."""
+    runs = [{"flow": TINY[c][0], "command": c, "params": TINY[c][1],
+             "output_dir": str(tmp_path / c)}
+            for c in ("holonomy", "rset", "expansivity", "uef")]
+    code = ("import json, sys\n"
+            "from rflowlab.cli import ExperimentConfig, run\n"
+            f"runs = json.loads({json.dumps(runs)!r})\n"
+            "print([run(ExperimentConfig(**c)) for c in runs], "
+            "'scipy' in sys.modules)")
+    assert _probe(code) == "[0, 0, 0, 0] False"

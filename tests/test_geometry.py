@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rflowlab.errors import DegenerateField, OutOfManifold
 from rflowlab.flows import CAT_MATRIX, cat_suspension_manifold, solid_torus_manifold
@@ -191,3 +193,195 @@ def test_exp_propagates_out_of_manifold():
     fr = normal_frame(TORUS, x, (1.0, 0.0, 0.0))
     with pytest.raises(OutOfManifold):
         exp_map(TORUS, fr, (0.5, 0.0))
+
+
+# ------------------------------------------------ deck search: exact oracles
+
+_UNIT = st.floats(0.0, 1.0, exclude_max=True)
+_STEP = st.floats(-0.14, 0.14)        # |w| < sqrt(3) * 0.14 < 1/4
+
+
+def _cat_pair(data, crossing):
+    """A canonical pair on the suspension's exactness domain.
+
+    Either q = wrap(p + w) with |w| below a quarter period (crossing the
+    glued fiber only when ``crossing``), or p and q on a common transverse
+    fiber with any transverse offset.
+    """
+    p = np.array([data.draw(_UNIT) for _ in range(3)])
+    if data.draw(st.booleans()):
+        q = np.array([data.draw(_UNIT), data.draw(_UNIT), p[2]])
+        return p, q
+    w = np.array([data.draw(_STEP) for _ in range(3)])
+    if not crossing:
+        w[2] = np.clip(w[2], -p[2], 0.999 - p[2])
+    return p, CAT.wrap_array(p + w)
+
+
+def _brute_force_displacements(p, q):
+    """Every deck candidate q_k - p with |k| <= 2, transverse axes reduced."""
+    out = []
+    for k in range(-2, 3):
+        qk = np.array(q, dtype=float)
+        qk[:2] = np.linalg.matrix_power(CAT_MATRIX, -k) @ q[:2]
+        qk[2] += k
+        d = qk - p
+        d[:2] -= np.rint(d[:2])
+        out.append(d)
+    return np.array(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_displacement_is_a_minimal_deck_vector(data):
+    p, q = _cat_pair(data, crossing=True)
+    disp = CAT.displacement(p, q)
+    cands = _brute_force_displacements(p, q)
+    assert np.min(np.abs(cands - disp).max(axis=1)) <= 1e-12
+    assert np.linalg.norm(disp) <= np.min(np.linalg.norm(cands, axis=1)) + 1e-12
+
+
+def _norm(v):
+    # the library's reduction (axis=-1); np.linalg.norm(v) sums in another order
+    return np.linalg.norm(v, axis=-1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_distance_is_the_displacement_norm_where_exact(data):
+    p, q = _cat_pair(data, crossing=False)
+    assert CAT.distance_array(p, q) == _norm(CAT.displacement(p, q))
+    assert CAT.distance_array(q, p) == _norm(CAT.displacement(q, p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_distance_is_the_shorter_displacement_of_either_order(data):
+    """Across the glued fiber the two orders differ by the gluing's stretch;
+    the distance is the shorter of them, bit for bit."""
+    p, q = _cat_pair(data, crossing=True)
+    assert CAT.distance_array(p, q) == min(_norm(CAT.displacement(p, q)),
+                                           _norm(CAT.displacement(q, p)))
+
+
+# Exhaustive deck searches, every candidate computed for every pair: the
+# reference oracles whose bits the pruned search must reproduce.
+
+def _reference_wrap_delta(m, d, skip_axis=None):
+    d = np.array(d, dtype=float)
+    for ax, per in enumerate(m.periodic_axes):
+        if per is None or ax == skip_axis:
+            continue
+        d[..., ax] -= per * np.round(d[..., ax] / per)
+    return d
+
+
+def _reference_deck_image(m, q, k):
+    g = m.gluing
+    mk = g.power(-k)
+    i, j = g.target_axes
+    out = np.array(q, dtype=float, copy=True)
+    vi = out[..., i].copy()
+    vj = out[..., j].copy()
+    out[..., i] = mk[0, 0] * vi + mk[0, 1] * vj
+    out[..., j] = mk[1, 0] * vi + mk[1, 1] * vj
+    out[..., g.axis] += k * m.periodic_axes[g.axis]
+    return out
+
+
+def _reference_displacement(m, p, q):
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if m.gluing is None:
+        return _reference_wrap_delta(m, q - p)
+    shape = np.broadcast(p, q).shape
+    cands = []
+    for k in (-1, 0, 1):
+        qk = np.array(np.broadcast_to(q, shape), dtype=float)
+        if k != 0:
+            qk = _reference_deck_image(m, qk, k)
+        cands.append(_reference_wrap_delta(m, qk - p, skip_axis=m.gluing.axis))
+    stack = np.stack(cands)
+    best = np.argmin(np.linalg.norm(stack, axis=-1), axis=0)
+    return np.take_along_axis(stack, best[None, ..., None], axis=0)[0]
+
+
+def _reference_distance(m, p, q):
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if m.gluing is None:
+        return np.linalg.norm(_reference_wrap_delta(m, q - p), axis=-1)
+    ax = m.gluing.axis
+    best = np.linalg.norm(_reference_wrap_delta(m, q - p, skip_axis=ax), axis=-1)
+    for k in (-1, 1):
+        for d in (_reference_deck_image(m, q, k) - p,
+                  q - _reference_deck_image(m, p, k)):
+            best = np.minimum(best, np.linalg.norm(
+                _reference_wrap_delta(m, d, skip_axis=ax), axis=-1))
+    return best
+
+
+def _edge_points(rng, n):
+    """Canonical points mixed with points on, and within 1e-9 of, the glued
+    fiber and the periodic edges (both sides)."""
+    pts = rng.uniform(0.0, 1.0, size=(n, 3))
+    edges = np.array([0.0, 1e-9, 3e-10, -1e-9, 1.0, 1.0 - 1e-9,
+                      np.nextafter(1.0, 0.0), 1.0 + 1e-9, 0.5])
+    for ax in range(3):
+        hit = rng.uniform(size=n) < 0.3
+        pts[hit, ax] = rng.choice(edges, size=int(hit.sum()))
+    return pts
+
+
+def _tie_pairs():
+    """Pairs whose in-sheet and glued candidates tie exactly or nearly.
+
+    (0, 0) is fixed by the cat map, so an s-gap of exactly 1/2 ties the
+    in-sheet candidate with a glued one; (0.25, 0.25) against (0.5, 0)
+    ties with nonzero transverse parts. The map sends (0.5, 0) to a
+    translate of (0, 0.5), so from (0, 0.5) with an s-gap near 1/4 both
+    candidates have norm near 3/4. Sweeping the start level and the gap's
+    last bits gives near-ties decided by rounding, where the estimate
+    |ds -+ per| and a candidate's own glued component differ.
+    """
+    p = [(0.0, 0.0, 0.25), (0.0, 0.0, 0.75), (0.25, 0.25, 0.25),
+         (0.25, 0.25, 0.75), (0.0, 0.0, 0.0), (0.5, 0.5, 0.5)]
+    q = [(0.0, 0.0, 0.75), (0.0, 0.0, 0.25), (0.5, 0.0, 0.75),
+         (0.5, 0.0, 0.25), (0.0, 0.0, 0.5), (0.5, 0.5, 0.0)]
+    s = np.linspace(0.0, 0.75, 1201)
+    for start, gap, lift in (((0.0, 0.0), 0.5, 2.0 ** -53),
+                             ((0.0, 0.5), 0.25, 2.0 ** -54)):
+        end = (0.0, 0.0) if start == (0.0, 0.0) else (0.5, 0.0)
+        for j in range(-3, 4):
+            p += [(*start, a) for a in s]
+            q += [(*end, a + gap + j * lift) for a in s]
+    return np.array(p), np.array(q)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, np.ascontiguousarray(a).view(np.uint64).tobytes()
+
+
+def _same(got, want):
+    return type(got) is type(want) and _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("m", [CAT, TORUS], ids=["cat", "torus"])
+def test_deck_search_matches_the_unpruned_reference_bit_for_bit(m):
+    rng = np.random.default_rng(21)
+    pts = _edge_points(rng, 2400)
+    if m is TORUS:
+        pts[:, 0] = 4.0 * pts[:, 0] - 2.0
+        pts[:, 1:] = 0.6 * pts[:, 1:] - 0.3
+    tp, tq = _tie_pairs()
+    cases = [(pts[i], pts[i + 1]) for i in range(0, 400, 2)]
+    cases += [(tp[i], tq[i]) for i in range(0, len(tp), 97)]
+    cases += [(pts[:600], pts[600:1200]), (tp, tq),
+              (pts[0], pts[1200:1300]),
+              (pts[1300:1900].reshape(20, 30, 3), pts[1900:1930]),
+              (pts[1930:1940, None], pts[1940:1970][None])]
+    for p, q in cases:
+        for a, b in ((p, q), (q, p)):
+            assert _same(m.displacement(a, b), _reference_displacement(m, a, b))
+            assert _same(m.distance_array(a, b), _reference_distance(m, a, b))
