@@ -12,7 +12,9 @@ given worker count, with its output directory moved to ``DIR/<config>``
 ``<config>/<file> <sha256>`` line per file; ``manifest.json`` is left out
 because it records wall time. ``--repo`` names the checkout whose ``src``
 and ``configs`` are used (default: the one holding this script), so two
-commits compare with one ``diff`` of two listings.
+commits compare with one ``diff`` of two listings. The wall time of each
+config's ``run`` call goes to standard error as one ``<config> <seconds>``
+line, so the listing itself stays the same from run to run.
 
 The exit status is 1 when any config does not exit 0.
 """
@@ -23,6 +25,7 @@ import argparse
 import hashlib
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 
@@ -47,7 +50,10 @@ def main(argv=None) -> int:
         config = load_config(repo / "configs" / f"{name}.json",
                              {"output_dir": str(outdir),
                               "workers": args.workers})
+        start = time.perf_counter()
         code = run(config)
+        print(f"{name} {time.perf_counter() - start:.2f}", file=sys.stderr,
+              flush=True)
         if code != 0:
             failed.append(f"{name} exited {code}")
         for path in sorted(outdir.rglob("*")):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -60,6 +60,20 @@ ERROR_NAMES = {
 }
 
 
+def _cell_offsets(res: int, w: float):
+    """Section coordinates of the cell centers along either grid axis."""
+    return (np.arange(res) - res // 2) * w
+
+
+@lru_cache(maxsize=1)
+def _rows_format(res: int, w: float):
+    """The grid CSV body as a %-format: each row's ``i,j,u,v,``, then
+    ``%s`` for its tail, in row-major order."""
+    offs = [f"{v:.17g}" for v in _cell_offsets(res, w).tolist()]
+    return "".join(f"{i},{j},{u},{v},%s"
+                   for i, u in enumerate(offs) for j, v in enumerate(offs))
+
+
 @dataclass
 class RSetGrid:
     """Membership grid for a local R-stable or R-unstable set."""
@@ -83,8 +97,7 @@ class RSetGrid:
         return (c, c)
 
     def cell_coords(self):
-        c = self.resolution // 2
-        offs = (np.arange(self.resolution) - c) * self.cellwidth
+        offs = _cell_offsets(self.resolution, self.cellwidth)
         return np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1)
 
     def membership_at(self, n: int):
@@ -107,17 +120,17 @@ class RSetGrid:
         }
 
     def to_csv(self, path):
-        res = self.resolution
-        offs = [f"{v:.17g}" for v in self.cell_coords()[:, 0, 0].tolist()]
-        cells = zip(product(range(res), repeat=2),
-                    self.membership.ravel().tolist(),
-                    self.component_labels.ravel().tolist(),
-                    self.error_state.ravel().tolist())
-        body = "".join(
-            f"{i},{j},{offs[i]},{offs[j]},{m:d},{c},{ERROR_NAMES[s]}\n"
-            for (i, j), m, c, s in cells)
+        # (component, member, error state) as one key: each distinct row
+        # tail is formatted once
+        key = (((self.component_labels + 1) * 2 + self.membership) * 8
+               + self.error_state).ravel().tolist()
+        tails = {k: f"{k // 8 % 2},{k // 16 - 1},{ERROR_NAMES[k % 8]}\n"
+                 for k in set(key)}
+        body = _rows_format(self.resolution, self.cellwidth) \
+            % tuple(map(tails.__getitem__, key))
         with open(path, "w", newline="") as fh:
-            fh.write("i,j,u,v,member,component,error_state\n" + body)
+            fh.write("i,j,u,v,member,component,error_state\n")
+            fh.write(body)
 
 
 @dataclass
@@ -275,7 +288,7 @@ def _march_grid(f, x, section, resolution, t, sign, n_max, tolerance_factor,
     if res % 2 == 0 or res < 3:
         raise ValueError("resolution must be odd and >= 3")
     w = 2.0 * section.radius / res
-    offs = (np.arange(res) - res // 2) * w
+    offs = _cell_offsets(res, w)
     U = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1)
     flat_u = U.reshape(-1, 2)
     inside = np.linalg.norm(flat_u, axis=-1) <= section.radius + 1e-12
@@ -353,25 +366,25 @@ def connected_component(g: RSetGrid) -> RSetGrid:
     the center cell is the connected local set CW.
     """
     res = g.resolution
-    labels = np.full((res, res), -1, dtype=int)
+    cells = np.flatnonzero(g.membership).tolist()
+    unseen = set(cells)
+    labels = np.full(res * res, -1, dtype=int)
     next_label = 0
-    members = g.membership
-    for i in range(res):
-        for j in range(res):
-            if not members[i, j] or labels[i, j] >= 0:
-                continue
-            stack = [(i, j)]
-            labels[i, j] = next_label
-            while stack:
-                a, b = stack.pop()
-                for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    na, nb = a + da, b + db
-                    if 0 <= na < res and 0 <= nb < res and members[na, nb] \
-                            and labels[na, nb] < 0:
-                        labels[na, nb] = next_label
-                        stack.append((na, nb))
-            next_label += 1
-    g.component_labels = labels
+    for start in cells:
+        if start not in unseen:
+            continue
+        unseen.remove(start)
+        component = [start]
+        for a in component:  # grows while it is walked: breadth first
+            j = a % res
+            for nb in (a + res, a - res, a + 1 if j < res - 1 else -1,
+                       a - 1 if j else -1):
+                if nb in unseen:
+                    unseen.remove(nb)
+                    component.append(nb)
+        labels[component] = next_label
+        next_label += 1
+    g.component_labels = labels.reshape(res, res)
     return g
 
 
@@ -454,7 +467,8 @@ def detect_rstable_point(f: FlowSpec, x: Point, t: float, eps_list, eta_grid,
     """
     cert = []
     for eps in eps_list:
-        grid = compute_rset(f, x, eps, t, n_max, resolution, "stable", tol=tol)
+        grid = compute_rset(f, x, eps, t, n_max, resolution, "stable", tol=tol,
+                            with_components=False)
         coords = grid.cell_coords()
         unorm = np.linalg.norm(coords, axis=-1)
         in_disk = grid.error_state != CELL_OUTSIDE_SECTION

@@ -11,6 +11,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rflowlab.errors import BudgetExhausted, GammaTooLarge, SingularBase
 from rflowlab.flows import CAT_MATRIX, LAMBDA_PLUS, get_flow, reversed_flow, sample_points
@@ -160,9 +162,17 @@ def _csv_writer_oracle(grid, path):
                 ])
 
 
-@pytest.mark.parametrize("resolution", [3, 101])
-def test_to_csv_bytes_match_csv_writer_oracle(tmp_path, resolution):
-    rng = np.random.default_rng(resolution)
+def _bare_grid(membership, labels, error_state, cellwidth):
+    """A grid with the given cells and no section behind it."""
+    return RSetGrid(
+        section=None, resolution=membership.shape[0], direction="stable",
+        params={"n_max": 1}, membership=membership, component_labels=labels,
+        fail_step=np.full(membership.shape, 2), error_state=error_state,
+        horizon_certified=1, truncation_reason=None,
+        cellwidth=cellwidth, base_norms=np.ones(2))
+
+
+def _random_grid(rng, resolution, cellwidth):
     shape = (resolution, resolution)
     states = np.array(sorted(ERROR_NAMES), dtype=np.int8)
     error_state = rng.choice(states, size=shape)
@@ -170,22 +180,82 @@ def test_to_csv_bytes_match_csv_writer_oracle(tmp_path, resolution):
     membership = rng.random(shape) < 0.5
     labels = np.where(membership, rng.integers(0, 12, size=shape), -1)
     labels.flat[0], labels.flat[1] = -1, 0
-    grid = RSetGrid(
-        section=None, resolution=resolution, direction="stable",
-        params={"n_max": 1}, membership=membership, component_labels=labels,
-        fail_step=np.full(shape, 2), error_state=error_state,
-        horizon_certified=1, truncation_reason=None,
-        cellwidth=0.1 / 3.0 / resolution, base_norms=np.ones(2))
+    return _bare_grid(membership, labels, error_state, cellwidth)
+
+
+def _assert_csv_matches_oracle(grid, tmp_path):
     grid.to_csv(tmp_path / "new.csv")
     _csv_writer_oracle(grid, tmp_path / "oracle.csv")
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "oracle.csv").read_bytes()
-    us = {float(line.split(b",")[2]) for line in new.splitlines()[1:]}
-    assert min(us) < 0.0 and 0.0 in us and max(us) > 0.0
-    assert len(new.splitlines()) == resolution ** 2 + 1
+    assert len(new.splitlines()) == grid.resolution ** 2 + 1
+    return new
+
+
+@pytest.mark.parametrize("resolution", [3, 101])
+def test_to_csv_bytes_match_csv_writer_oracle(tmp_path, resolution):
+    """Random grids at two cell widths of one resolution, written A, B, A
+    so a row layout reused across cell widths would show, then the stable
+    and unstable grids of one solid-torus point."""
+    rng = np.random.default_rng(resolution)
+    width_a, width_b = 0.1 / 3.0 / resolution, 0.07 / resolution
+    for width in (width_a, width_b, width_a):
+        new = _assert_csv_matches_oracle(
+            _random_grid(rng, resolution, width), tmp_path)
+        us = {float(line.split(b",")[2]) for line in new.splitlines()[1:]}
+        assert min(us) < 0.0 and 0.0 in us and max(us) > 0.0
+        assert max(us) == pytest.approx(width * (resolution // 2))
+    x = _pt(TORUS, (-0.5, 0.2, 0.0))
+    for direction in ("stable", "unstable"):
+        _assert_csv_matches_oracle(
+            compute_rset(TORUS, x, 0.1, 1.0, 3, resolution, direction),
+            tmp_path)
 
 
 # ------------------------------------------------------------------ components
+
+def _flood_fill_oracle(membership):
+    """Labels by a flood from every cell in row-major order."""
+    res = membership.shape[0]
+    labels = np.full((res, res), -1, dtype=int)
+    next_label = 0
+    for i in range(res):
+        for j in range(res):
+            if not membership[i, j] or labels[i, j] >= 0:
+                continue
+            stack = [(i, j)]
+            labels[i, j] = next_label
+            while stack:
+                a, b = stack.pop()
+                for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                    na, nb = a + da, b + db
+                    if 0 <= na < res and 0 <= nb < res \
+                            and membership[na, nb] and labels[na, nb] < 0:
+                        labels[na, nb] = next_label
+                        stack.append((na, nb))
+            next_label += 1
+    return labels
+
+
+@settings(max_examples=80, deadline=None)
+@given(half=st.integers(1, 20),
+       density=st.one_of(st.floats(0.05, 0.95), st.sampled_from((0.0, 1.0))),
+       seed=st.integers(0, 2**32 - 1))
+@example(half=1, density=1.0, seed=0)
+@example(half=20, density=1.0, seed=0)
+@example(half=20, density=0.0, seed=0)
+def test_connected_component_matches_flood_fill_oracle(half, density, seed):
+    """Random member masks (density 0 and 1: none and all), odd
+    resolutions 3 to 41: the same labels as a flood from every cell."""
+    res = 2 * half + 1
+    membership = np.random.default_rng(seed).random((res, res)) < density
+    g = _bare_grid(membership, np.full((res, res), -1),
+                   np.zeros((res, res), dtype=np.int8), 0.01)
+    connected_component(g)
+    want = _flood_fill_oracle(membership)
+    assert g.component_labels.dtype == want.dtype
+    assert np.array_equal(g.component_labels, want)
+
 
 def test_connected_component_center_only():
     x = _pt(TORUS, (-0.5, 0.2, 0.0))
