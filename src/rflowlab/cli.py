@@ -128,11 +128,14 @@ def load_config(path=None, overrides=None) -> ExperimentConfig:
             data = json.load(fh)
     if not isinstance(data, dict) or not isinstance(data.get("params", {}), dict):
         raise TypeError("a config is a JSON object, with params a JSON object")
+    defaults = {"flow": None, "command": None, "output_dir": "out", "seed": 0,
+                "workers": 1}
+    unknown = sorted(set(data) - set(defaults) - {"params"})
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     overrides = overrides or {}
     merged = {key: overrides.get(key, data.get(key, default))
-              for key, default in (("flow", None), ("command", None),
-                                   ("output_dir", "out"), ("seed", 0),
-                                   ("workers", 1))}
+              for key, default in defaults.items()}
     merged["params"] = {**data.get("params", {}), **overrides.get("params", {})}
     return ExperimentConfig(**merged)
 
@@ -517,7 +520,7 @@ def main(argv=None) -> int:
             overrides["params"][key] = raw
     try:
         config = load_config(args.config, overrides)
-    except (OSError, json.JSONDecodeError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:   # JSONDecodeError too
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return run(config)

@@ -150,12 +150,18 @@ class ModelManifold:
         if g is not None:
             lo, per = self.axis_origins[g.axis], self.periodic_axes[g.axis]
             level = np.floor((out[:, g.axis] - lo) / per).astype(int)
+            z = out[:, g.axis] - level * per
+            # z just below a fiber can round up onto the next one, the lower
+            # edge of the sheet above: take it there
+            top = z >= lo + per
+            level[top] += 1
+            z[top] = lo
             i, j = g.target_axes
             for k in np.unique(level[level != 0]):
                 sel = level == k
                 out[sel, i], out[sel, j] = self._glue(-int(k), out[sel, i],
                                                       out[sel, j])
-            out[:, g.axis] -= level * per
+            out[:, g.axis] = z
         self._into_domain(out)
         if self.disk_axes is not None:
             i, j = self.disk_axes

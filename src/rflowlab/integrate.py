@@ -31,9 +31,9 @@ import numpy as np
 from .errors import LeftTube, NoCrossing, Timeout
 from .geometry import Point, _readonly
 
-T_MAX_DEFAULT = 200.0
 DEFAULT_TOL = 1e-9
-MAX_STEPS_DEFAULT = 200_000
+T_MAX = 200.0           # |t| bound of flow_map and first_crossing windows
+MAX_STEPS = 200_000     # orbit_batch step budget; Timeout past it
 
 # Dormand-Prince 5(4) tableau
 _A21 = 1 / 5
@@ -57,7 +57,6 @@ class OrbitSegment:
 
     times: np.ndarray
     points: list
-    step_tolerance: float
 
 
 @dataclass
@@ -68,7 +67,6 @@ class CrossingEvent:
     hit_time: float
     residual: float
     offset_coords: np.ndarray | None = None
-    offset_norm: float | None = None
 
 
 def _rk_step(fn, y, f0, h):
@@ -113,45 +111,40 @@ def _initial_step(y, f0, duration):
     return min(duration, max(1e-8, 0.01 * scale))
 
 
-def flow_map(f, x: Point, t: float, tol: float = DEFAULT_TOL,
-             max_steps: int = MAX_STEPS_DEFAULT, t_max: float = T_MAX_DEFAULT) -> Point:
+def flow_map(f, x: Point, t: float, tol: float = DEFAULT_TOL) -> Point:
     """The flow of ``f`` applied to ``x`` for signed time ``t``.
 
-    phi_0 is the identity exactly; |t| must not exceed ``t_max``.
+    phi_0 is the identity exactly; |t| must not exceed ``T_MAX``.
     """
-    if abs(t) > t_max:
-        raise ValueError(f"|t|={abs(t)} exceeds t_max={t_max}")
+    if abs(t) > T_MAX:
+        raise ValueError(f"|t|={abs(t)} exceeds T_MAX={T_MAX}")
     if t == 0.0:
         return x
-    y = orbit_batch(f, x.coords[None], np.array([t]), tol, max_steps)[0, 0]
+    y = orbit_batch(f, x.coords[None], np.array([t]), tol)[0, 0]
     return Point(_readonly(y))
 
 
-def _states_at(f, coords, times, tol, max_steps):
+def _states_at(f, coords, times, tol):
     """Wrapped states of one orbit at strictly increasing times of any sign."""
     out = np.empty((times.size, coords.size))
     neg = times < 0
     if np.any(neg):
-        out[neg] = orbit_batch(f, coords[None], times[neg][::-1], tol,
-                               max_steps)[0, ::-1]
+        out[neg] = orbit_batch(f, coords[None], times[neg][::-1], tol)[0, ::-1]
     if not np.all(neg):
-        out[~neg] = orbit_batch(f, coords[None], times[~neg], tol, max_steps)[0]
+        out[~neg] = orbit_batch(f, coords[None], times[~neg], tol)[0]
     return out
 
 
-def orbit(f, x: Point, times, tol: float = DEFAULT_TOL,
-          max_steps: int = MAX_STEPS_DEFAULT) -> OrbitSegment:
+def orbit(f, x: Point, times, tol: float = DEFAULT_TOL) -> OrbitSegment:
     """Sample the orbit of x at strictly monotone times (any sign, 0 allowed)."""
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    states = _states_at(f, x.coords, times, tol, max_steps)
-    return OrbitSegment(times=times, points=[Point(_readonly(s)) for s in states],
-                        step_tolerance=tol)
+    states = _states_at(f, x.coords, times, tol)
+    return OrbitSegment(times=times, points=[Point(_readonly(s)) for s in states])
 
 
-def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL,
-                max_steps: int = MAX_STEPS_DEFAULT):
+def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL):
     """Sample many orbits at shared times; returns wrapped (n, m, d) array.
 
     Runs in the universal cover with shared adaptive steps (error controlled
@@ -159,7 +152,8 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL,
     on exactly; earlier times are filled from the dense-output polynomial
     of the step that contains them, so they never shorten a step and the
     last sample equals that of a call with the last time alone. Times must
-    be monotone away from zero, single sign.
+    be monotone away from zero, single sign. More than ``MAX_STEPS``
+    attempted steps raise Timeout.
     """
     coords = np.asarray(coords, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -185,7 +179,7 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL,
     steps = 0
     j = 0   # first time not yet filled
     while s < target - 1e-14:
-        if steps >= max_steps:
+        if steps >= MAX_STEPS:
             raise Timeout(f"{f.name}: batch step budget exhausted at t={s:.6g}")
         hh = min(h, target - s)
         y_new, f_new, err, stages = _rk_step(fn, y, f0, hh)
@@ -206,61 +200,56 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL,
     return f.manifold.wrap_array(out)
 
 
-def first_crossing(f, y: Point, target, window, direction: str = "forward",
-                   tol: float = DEFAULT_TOL, event_tol: float = 1e-10,
-                   radius_slack: float = 1.0, max_steps: int = MAX_STEPS_DEFAULT,
-                   t_max: float = T_MAX_DEFAULT) -> CrossingEvent:
+def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,
+                   event_tol: float = 1e-10,
+                   radius_slack: float = 1.0) -> CrossingEvent:
     """First crossing of the target section plane inside a time window.
 
     The plane function is g(s) = <phi_s(y) - base, n> with n the unit field
     direction at the target base. The orbit is carried exactly to the
     window start, and g is scanned over dense-output states on a 0.01-spaced
-    grid of the window (forward: ascending, backward: descending). The scan
-    only brackets: the first grid point with |g| <= event_tol, or the ends
-    of the first sign change, are evaluated again on the exact flow (landed
-    from the window start, a bracket's far end from its near end) until the
-    first flagged point or bracket holds on exact values, and a bracketed
-    secant (Illinois) polishes the root by exact re-integration from the
-    bracket's first end. The result has |g| <= event_tol, or NoCrossing is
-    raised. A hit farther than radius_slack times the section radius from
-    the base raises LeftTube; that decision is made on the exact hit.
+    grid of the window in ascending time. The scan only brackets: the first
+    grid point with |g| <= event_tol, or the ends of the first sign change,
+    are evaluated again on the exact flow (landed from the window start, a
+    bracket's far end from its near end) until the first flagged point or
+    bracket holds on exact values, and a bracketed secant (Illinois)
+    polishes the root by exact re-integration from the bracket's first
+    end. The result has |g| <= event_tol, or NoCrossing is raised. A hit
+    farther than radius_slack times the section radius from the base raises
+    LeftTube; that decision is made on the exact hit.
     """
     w_lo, w_hi = float(window[0]), float(window[1])
     if w_hi < w_lo:
         raise ValueError("window must be (lo, hi) with lo <= hi")
-    if max(-w_lo, w_hi) > t_max:
-        raise ValueError(f"window reaches beyond |t| = t_max = {t_max}")
-    if direction not in ("forward", "backward"):
-        raise ValueError("direction must be 'forward' or 'backward'")
+    if max(-w_lo, w_hi) > T_MAX:
+        raise ValueError(f"window reaches beyond |t| = T_MAX = {T_MAX}")
     m = f.manifold
     base = target.frame.base.coords
     nhat = target.frame.field_dir
 
     def land(start, dt):
         """The state dt after ``start``, landed on exactly."""
-        return orbit_batch(f, start[None], np.array([dt]), tol, max_steps)[0, 0]
+        return orbit_batch(f, start[None], np.array([dt]), tol)[0, 0]
 
     y_lo = land(y.coords, w_lo)
     n_grid = int(math.ceil((w_hi - w_lo) / 0.01)) + 1
     rel = np.linspace(0.0, w_hi - w_lo, n_grid)
-    states = orbit_batch(f, y_lo[None], rel, tol, max_steps)[0]
+    states = orbit_batch(f, y_lo[None], rel, tol)[0]
     states[0] = y_lo    # wrapping again need not give back the same bits
     disps = m.displacement(base, states)
     gvals = disps @ nhat
     exact = np.zeros(n_grid, dtype=bool)
     exact[0] = True
-    order = np.arange(n_grid) if direction == "forward" else np.arange(n_grid)[::-1]
     while True:
-        g = gvals[order]
-        hits = np.abs(g) <= event_tol
+        hits = np.abs(gvals) <= event_tol
         changes = np.zeros(n_grid, dtype=bool)
-        changes[1:] = (g[1:] > 0) != (g[:-1] > 0)
+        changes[1:] = (gvals[1:] > 0) != (gvals[:-1] > 0)
         first = np.flatnonzero(hits | changes)
         if first.size == 0:
             raise NoCrossing(f"{f.name}: no section crossing in window "
                              f"[{w_lo:.6g}, {w_hi:.6g}]")
         i = int(first[0])
-        ends = order[[i]] if hits[i] else order[[i - 1, i]]
+        ends = np.array([i]) if hits[i] else np.array([i - 1, i])
         stale = ends[~exact[ends]]
         if stale.size == 0:
             break
@@ -326,4 +315,4 @@ def first_crossing(f, y: Point, target, window, direction: str = "forward",
             hit_time=s_hit, offset=off,
         )
     return CrossingEvent(hit_point=Point(_readonly(w_hit)), hit_time=float(s_hit),
-                         residual=float(g_hit), offset_coords=u, offset_norm=off)
+                         residual=float(g_hit), offset_coords=u)

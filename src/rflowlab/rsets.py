@@ -40,7 +40,7 @@ from .errors import (
 from .flows import FlowSpec, field_norm
 from .geometry import Point
 from .integrate import DEFAULT_TOL, first_crossing, orbit_batch
-from .sections import CrossSection, make_section, section_point
+from .sections import SINGULAR_NORM, CrossSection, make_section, section_point
 
 # per-cell error states
 CELL_OK = 0
@@ -145,7 +145,6 @@ class DynamicalBall:
 
 @dataclass
 class UniformExpansivenessReport:
-    K_description: str
     A: float
     eta: float
     beta: float
@@ -175,7 +174,7 @@ class _Propagation:
     tracks: Optional[list]  # per step: (alive flat indices, positions)
 
 
-def _propagate_points(f: FlowSpec, x: Point, section: CrossSection, t: float,
+def _propagate_points(f: FlowSpec, section: CrossSection, t: float,
                       coords_u, sign: int, n_max: int, tol_factor: float,
                       beta: float, tol: float = DEFAULT_TOL,
                       radius_slack: float = 4.0, record_tracks: bool = False):
@@ -214,11 +213,10 @@ def _propagate_points(f: FlowSpec, x: Point, section: CrossSection, t: float,
             horizon = k - 1
             trunc = "timeout"
             break
-        center_pos = int(np.searchsorted(alive_idx, 0))
-        bx = Y_new[center_pos]
+        bx = Y_new[0]
         fvec = f.field(bx)
         n_x = float(np.linalg.norm(fvec))
-        if n_x <= 1e-12:
+        if n_x <= SINGULAR_NORM:
             horizon = k - 1
             trunc = "singular_base"
             break
@@ -228,14 +226,11 @@ def _propagate_points(f: FlowSpec, x: Point, section: CrossSection, t: float,
         d = np.linalg.norm(disp, axis=-1)
 
         resid_tol = max(1e-7 * (1.0 + abs(t)), 100.0 * tol)
+        # row 0 is the base: its residual is exactly zero, never a straggler
         stragglers = np.flatnonzero(np.abs(resid) > resid_tol)
         if stragglers.size:
-            frame = m.normal_frame(Point(bx), nhat)
-            tgt = CrossSection(frame=frame, beta=beta, radius=beta * n_x,
-                               flow_name=f.name, base_field_norm=n_x)
+            tgt = make_section(f, Point(bx), beta)
             for s_i in stragglers:
-                if s_i == center_pos:
-                    continue
                 try:
                     ev = first_crossing(f, Point(Y[s_i].copy()), tgt,
                                         window=(step_t - 0.2 * abs(t) - 1e-6,
@@ -257,7 +252,7 @@ def _propagate_points(f: FlowSpec, x: Point, section: CrossSection, t: float,
         fail_tube = d > guard_k
         fail_tol = d > tol_k * (1.0 + 1e-9) + 1e-15
         fails = fail_tube | fail_tol
-        fails[center_pos] = False
+        fails[0] = False
         if np.any(fails):
             rows = np.flatnonzero(fails)
             cells = alive_idx[rows]
@@ -276,13 +271,12 @@ def _propagate_points(f: FlowSpec, x: Point, section: CrossSection, t: float,
                         base_norms=np.array(base_norms), tracks=tracks)
 
 
-def _march_grid(f, x, section, resolution, t, sign, n_max, tolerance_factor,
+def _march_grid(f, section, resolution, t, sign, n_max, tolerance_factor,
                 beta, direction, tol, radius_slack) -> RSetGrid:
     """The membership grid over ``section``, components not yet labelled.
 
     In-disk cells are propagated as one batch with the center cell as row
-    0; cells outside the disk are outside the section domain. With
-    n_max = 0 every in-disk cell is a member.
+    0; cells outside the disk are outside the section domain.
     """
     res = resolution
     if res % 2 == 0 or res < 3:
@@ -295,14 +289,9 @@ def _march_grid(f, x, section, resolution, t, sign, n_max, tolerance_factor,
     center = (res // 2) * res + res // 2
     inside[center] = False
     cells = np.concatenate(([center], np.flatnonzero(inside)))
-    if n_max == 0:
-        run = _Propagation(np.ones(cells.size, dtype=int),
-                           np.zeros(cells.size, dtype=np.int8), 0, None,
-                           np.array([section.base_field_norm]), None)
-    else:
-        run = _propagate_points(f, x, section, t, flat_u[cells], sign, n_max,
-                                tolerance_factor, beta, tol=tol,
-                                radius_slack=radius_slack)
+    run = _propagate_points(f, section, t, flat_u[cells], sign, n_max,
+                            tolerance_factor, beta, tol=tol,
+                            radius_slack=radius_slack)
     fail_step = np.zeros(res * res, dtype=int)
     error_state = np.full(res * res, CELL_OUTSIDE_SECTION, dtype=np.int8)
     fail_step[cells] = run.fail_step
@@ -351,7 +340,7 @@ def compute_rset(f: FlowSpec, x: Point, beta: float, t: float, n_max: int,
     if tolerance_factor is None:
         tolerance_factor = domain_factor
     section = make_section(f, x, domain_factor)
-    grid = _march_grid(f, x, section, resolution, t,
+    grid = _march_grid(f, section, resolution, t,
                        1 if direction == "stable" else -1, n_max,
                        tolerance_factor, beta, direction, tol, radius_slack)
     if with_components:
@@ -414,8 +403,7 @@ def sphere_reach(g: RSetGrid, gamma: float) -> bool:
 
 
 def dynamical_ball(f: FlowSpec, x: Point, n: int, epsilon: float, t: float,
-                   resolution: int, tol: float = DEFAULT_TOL,
-                   radius_slack: float = 4.0) -> DynamicalBall:
+                   resolution: int, tol: float = DEFAULT_TOL) -> DynamicalBall:
     """The n-step forward rescaled dynamical ball on the section at x.
 
     Domain and tolerance both use the un-shrunken factor epsilon; the i = 0
@@ -426,31 +414,27 @@ def dynamical_ball(f: FlowSpec, x: Point, n: int, epsilon: float, t: float,
     if epsilon > f.rescale.beta0 + 1e-12:
         raise BetaTooLarge(f"epsilon={epsilon} exceeds beta0={f.rescale.beta0}")
     section = make_section(f, x, epsilon)
-    grid = _march_grid(f, x, section, resolution, t, 1, n, epsilon, epsilon,
-                       "ball", tol, radius_slack)
+    grid = _march_grid(f, section, resolution, t, 1, n, epsilon, epsilon,
+                       "ball", tol, 4.0)
     connected_component(grid)
     return DynamicalBall(section=section, n=n, epsilon=epsilon, grid=grid)
 
 
 def membership_predicate(f: FlowSpec, x: Point, beta: float, t: float,
                          n_max: int, direction: str, coords_u,
-                         tolerance_factor: Optional[float] = None,
-                         tol: float = DEFAULT_TOL, radius_slack: float = 4.0,
-                         record_tracks: bool = False):
+                         tol: float = DEFAULT_TOL, record_tracks: bool = False):
     """Fail steps for explicit section points (no grid): the same test
-    compute_rset applies per cell. Returns (fail_step, propagation)."""
-    L = f.rescale.L
-    domain_factor = beta / L ** t
-    if tolerance_factor is None:
-        tolerance_factor = domain_factor
+    compute_rset applies per cell with its default tolerance. Returns
+    (fail_step, propagation)."""
+    if beta > f.rescale.beta0 + 1e-12:
+        raise BetaTooLarge(f"beta={beta} exceeds beta0={f.rescale.beta0}")
+    domain_factor = beta / f.rescale.L ** t
     section = make_section(f, x, domain_factor)
     coords_u = np.asarray(coords_u, dtype=float)
     rows = np.vstack([np.zeros(2), coords_u])
     sign = 1 if direction == "stable" else -1
-    run = _propagate_points(f, x, section, t, rows, sign, n_max,
-                            tolerance_factor, beta, tol=tol,
-                            radius_slack=radius_slack,
-                            record_tracks=record_tracks)
+    run = _propagate_points(f, section, t, rows, sign, n_max, domain_factor,
+                            beta, tol=tol, record_tracks=record_tracks)
     return run.fail_step[1:], run
 
 
@@ -495,8 +479,7 @@ def detect_rstable_point(f: FlowSpec, x: Point, t: float, eps_list, eta_grid,
 
 
 def check_expansivity(f: FlowSpec, points, beta: float, t: float, n_max: int,
-                      resolution: int, tol: float = DEFAULT_TOL,
-                      keep_grids: bool = False) -> ExpansivityVerdict:
+                      resolution: int, tol: float = DEFAULT_TOL) -> ExpansivityVerdict:
     """Intersect stable and unstable membership grids at each sampled point.
 
     A counterexample is a non-center cell that belongs to both sets, i.e.
@@ -533,8 +516,6 @@ def check_expansivity(f: FlowSpec, points, beta: float, t: float, n_max: int,
             "stable_horizon": gs.horizon_certified,
             "unstable_horizon": gu.horizon_certified,
         }
-        if keep_grids:
-            entry["grids"] = (gs, gu)
         per_point.append(entry)
     return ExpansivityVerdict(flow_name=f.name, points=list(points),
                               per_point=per_point, overall=overall)
@@ -556,13 +537,13 @@ def uniform_expansiveness_scan(f: FlowSpec, sample_points, eta: float,
     """
     pts = list(sample_points)
     norms = np.array([field_norm(f, p) for p in pts])
-    if np.any(norms <= 1e-12):
+    if np.any(norms <= SINGULAR_NORM):
         raise SingularBase("sampled set touches the singular region")
     A = float(np.min(norms))
     if eta >= beta * float(np.max(norms)):
         # no section can hold a point at distance > eta: empty premise
         return UniformExpansivenessReport(
-            K_description=f.name, A=A, eta=eta, beta=beta, t=t, N_eta=0,
+            A=A, eta=eta, beta=beta, t=t, N_eta=0,
             witnesses=[], skipped_pairs=len(pts) * n_directions,
             exhausted_pair=None, vacuous=True)
     if eta > beta * A + 1e-12:
@@ -586,7 +567,7 @@ def uniform_expansiveness_scan(f: FlowSpec, sample_points, eta: float,
                 if on_budget == "report":
                     y = section_point(f, sec, u0)
                     return UniformExpansivenessReport(
-                        K_description=f.name, A=A, eta=eta, beta=beta, t=t,
+                        A=A, eta=eta, beta=beta, t=t,
                         N_eta=None, witnesses=witnesses, skipped_pairs=skipped,
                         exhausted_pair=([float(v) for v in x.coords],
                                         [float(v) for v in y.coords]))
@@ -597,7 +578,7 @@ def uniform_expansiveness_scan(f: FlowSpec, sample_points, eta: float,
             witnesses.append((p_idx, d_idx, n_sep))
             N_eta = max(N_eta, n_sep)
     return UniformExpansivenessReport(
-        K_description=f.name, A=A, eta=eta, beta=beta, t=t, N_eta=N_eta,
+        A=A, eta=eta, beta=beta, t=t, N_eta=N_eta,
         witnesses=witnesses, skipped_pairs=skipped, exhausted_pair=None)
 
 
@@ -624,7 +605,7 @@ def _first_separation(f, x, sec, u0, beta, t, budget, tol):
                 continue
             bx, by = nxt[0], nxt[1]
             n_x = float(np.linalg.norm(f.field(bx)))
-            if n_x <= 1e-12:
+            if n_x <= SINGULAR_NORM:
                 st["dead"] = True
                 continue
             d = float(m.distance_array(bx, by))

@@ -43,13 +43,15 @@ class CrossSection:
 
     frame: NormalFrame
     beta: float
-    radius: float
-    flow_name: str
     base_field_norm: float
 
     @property
     def base(self) -> Point:
         return self.frame.base
+
+    @property
+    def radius(self) -> float:
+        return self.beta * self.base_field_norm
 
 
 @dataclass
@@ -71,10 +73,6 @@ class HolonomyOrbit:
     error: Optional[Exception]
     error_step: Optional[int]
 
-    @property
-    def steps_completed(self) -> int:
-        return len(self.results)
-
 
 def make_section(f: FlowSpec, x: Point, beta: float,
                  seed_axes=None) -> CrossSection:
@@ -89,8 +87,7 @@ def make_section(f: FlowSpec, x: Point, beta: float,
         raise ValueError("beta must be positive")
     direction = f.field(x.coords) / n
     frame = f.manifold.normal_frame(x, direction, seed_axes=seed_axes)
-    return CrossSection(frame=frame, beta=beta, radius=beta * n,
-                        flow_name=f.name, base_field_norm=n)
+    return CrossSection(frame=frame, beta=beta, base_field_norm=n)
 
 
 def section_coords(f: FlowSpec, section: CrossSection, p: Point) -> np.ndarray:
@@ -110,35 +107,26 @@ def _tube_samples(t: float) -> np.ndarray:
 
 
 def holonomy(f: FlowSpec, source: CrossSection, t: float, y: Point,
-             tol: float = DEFAULT_TOL, radius_slack: float = 1.0,
-             window_doublings: int = 4) -> HolonomyResult:
+             tol: float = DEFAULT_TOL, radius_slack: float = 1.0) -> HolonomyResult:
     """Holonomy P over time t from the source section to the one at phi_t(base).
 
     Locates the crossing of the target plane inside a window of half-width
-    beta * ||X(phi_t(base))|| around t, doubling the window up to
-    ``window_doublings`` times before giving up. ``radius_slack`` relaxes
-    the target-radius containment check (slack > 1 lets callers measure
-    how far outside the tube an image lands instead of erroring).
+    beta * ||X(phi_t(base))|| around t, doubling the window up to four
+    times before giving up. ``radius_slack`` relaxes the target-radius
+    containment check (slack > 1 lets callers measure how far outside the
+    tube an image lands instead of erroring).
     """
     target_base = flow_map(f, source.base, t, tol=tol)
-    n_target = field_norm(f, target_base)
-    if n_target <= SINGULAR_NORM:
-        raise SingularBase(f"{f.name}: target base is singular after t={t}")
-    direction = f.field(target_base.coords) / n_target
-    frame = f.manifold.normal_frame(target_base, direction,
-                                    seed_axes=source.frame.axes)
-    target = CrossSection(frame=frame, beta=source.beta,
-                          radius=source.beta * n_target,
-                          flow_name=f.name, base_field_norm=n_target)
+    target = make_section(f, target_base, source.beta,
+                          seed_axes=source.frame.axes)
 
-    w = max(source.beta * n_target, 1e-9)
+    w = max(target.radius, 1e-9)
     event: CrossingEvent | None = None
     last_exc: Exception | None = None
-    for _ in range(window_doublings + 1):
+    for _ in range(5):    # the first window, then four doublings
         try:
             event = first_crossing(f, y, target, window=(t - w, t + w),
-                                   direction="forward", tol=tol,
-                                   radius_slack=radius_slack)
+                                   tol=tol, radius_slack=radius_slack)
             break
         except NoCrossing as exc:
             last_exc = exc

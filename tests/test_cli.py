@@ -138,6 +138,18 @@ def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_unknown_config_key_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)   # where a misspelt output_dir would write
+    base = json.loads((CONFIGS / "uef_rigid.json").read_text())
+    del base["output_dir"]
+    path = _write_config(tmp_path, {**base, "output_dri": "o", "sed": 5,
+                                    "wokers": 2})
+    assert main(["uef", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("output_dri", "sed", "wokers"))
+    assert not (tmp_path / "o").exists() and not (tmp_path / "out").exists()
+
+
 def test_holonomy_needs_a_time_exits_2(tmp_path, capsys):
     path = _write_config(tmp_path, {
         "flow": "cat_suspension", "command": "holonomy",

@@ -55,6 +55,18 @@ def test_wrap_idempotent_random():
         assert np.allclose(once, twice, atol=1e-9)
 
 
+@pytest.mark.parametrize("z", [-5.55e-17, -1e-17, -1.1e-16, 0.0, 1e-17])
+def test_wrap_at_the_glued_fiber_lands_on_the_right_sheet(z):
+    """z + 1 can round to the period itself for z just below the glued
+    fiber; the point must still land next to its neighbours across the
+    fiber, with its glued coordinate in [0, 1), and wrap to itself."""
+    p = CAT.wrap_array(np.array([0.3, 0.2, z]))
+    near = CAT.wrap_array(np.array([0.3, 0.2, 1e-9]))
+    assert 0.0 <= p[2] < 1.0
+    assert CAT.distance_array(p, near) == pytest.approx(1e-9, abs=1e-12)
+    assert np.array_equal(CAT.wrap_array(p), p)
+
+
 def test_glue_powers_belong_to_their_gluing():
     """Fresh gluings never see matrix powers cached for an earlier one."""
     rng = np.random.default_rng(11)

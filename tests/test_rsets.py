@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rflowlab.errors import BudgetExhausted, GammaTooLarge, SingularBase
+from rflowlab.errors import BetaTooLarge, BudgetExhausted, GammaTooLarge, SingularBase
 from rflowlab.flows import CAT_MATRIX, LAMBDA_PLUS, get_flow, reversed_flow, sample_points
 from rflowlab.rsets import (
+    CELL_OUT_OF_MANIFOLD,
     CELL_OUTSIDE_SECTION,
     ERROR_NAMES,
     RSetGrid,
@@ -315,6 +316,22 @@ def test_ball_n0_is_the_disk():
     assert np.array_equal(ball.grid.membership, _in_disk(ball.grid))
 
 
+def test_ball_n0_counts_no_cell_outside_the_manifold():
+    """Cells of the section disk beyond the solid torus are out of the
+    manifold at n = 0 exactly as at n = 1, never members."""
+    x = _pt(RIGID, (0.5, 0.95, 0.0))
+    grids = [dynamical_ball(RIGID, x, n, 0.25, 1.0, 21).grid for n in (0, 1)]
+    sec = grids[0].section
+    raw = sec.base.coords + grids[0].cell_coords() @ sec.frame.axes
+    i, j = RIGID.manifold.disk_axes
+    outside = np.hypot(raw[..., i], raw[..., j]) > 1.0 + 1e-9
+    assert np.any(outside & _in_disk(grids[0]))
+    assert not np.any(grids[0].membership & outside)
+    for g in grids:
+        assert np.array_equal(g.error_state == CELL_OUT_OF_MANIFOLD,
+                              outside & _in_disk(g))
+
+
 def test_ball_nesting():
     x = _pt(CAT, (0.31, 0.62, 0.47))
     balls = [dynamical_ball(CAT, x, n, 0.1, 1.0, 41) for n in range(0, 11)]
@@ -409,6 +426,13 @@ def test_uef_vacuous():
 
 
 # ------------------------------------------------------- contraction of members
+
+def test_membership_predicate_rejects_beta_above_beta0():
+    """Checked up front, as compute_rset does, not at the first straggler."""
+    x = _pt(CAT, (0.31, 0.62, 0.47))
+    with pytest.raises(BetaTooLarge):
+        membership_predicate(CAT, x, 0.3, 1.0, 2, "stable", [[0.0, 0.001]])
+
 
 def test_stable_set_contracts_with_bottom_eigenvalue():
     """Forward images of verified stable-set points shrink by the bottom
