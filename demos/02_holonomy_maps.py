@@ -38,7 +38,7 @@ torus = get_flow("solid_torus")
 p = torus.manifold.wrap((-0.5, 0.0, 0.0))
 secp = make_section(torus, p, 0.1)
 q = section_point(torus, secp, (0.004, 0.0))
-orb = holonomy_orbit(torus, p, 0.1, 1.0, 12, q, radius_slack=1.0)
+orb = holonomy_orbit(torus, p, 0.1, 1.0, 12, q)
 print("\nsolid torus: transverse offset vs shrinking section radius")
 for k, r in enumerate(orb.results, start=1):
     print(f"  n={k:2d}  d = {r.distance_to_base:.3e}   radius = {r.target.radius:.3e}")

@@ -10,9 +10,10 @@ from every previously accepted one.
 
 Each sample's orbit is integrated once and cached. Work is done per
 accepted sample, not per candidate: its time-zero eps-neighbors come from
-one KD-tree query over deck copies (any sample farther than eps at time
-zero is separated from it at every horizon), and one distance table over
-the cached times gives its separation from each neighbor at every horizon.
+one lookup in a cell grid of deck copies (any sample farther than eps at
+time zero is separated from it at every horizon), and one distance table
+over the strided cached times and the horizon endpoints gives its
+separation from each neighbor at every horizon.
 The neighbors it fails to separate from are blocked, and the greedy pass
 jumps straight to the next sample that is neither accepted nor blocked.
 
@@ -30,6 +31,7 @@ unsaturated prefix of the time grid (counts below 0.8 of the sample budget).
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -126,15 +128,15 @@ def _deck_variants(manifold, pos):
     return variants
 
 
-def _deck_copies(manifold, pos, reach):
-    """Deck-image copies of ``pos`` so chart-Euclidean balls of radius
-    ``reach`` around originals see every quotient-metric neighbor."""
-    n = pos.shape[0]
-    base_owner = np.arange(n)
+def _deck_copies(manifold, variants, reach):
+    """Deck-image copies of the points whose ``_deck_variants`` are
+    ``variants``, so chart-Euclidean balls of radius ``reach`` around
+    originals see every quotient-metric neighbor."""
+    base_owner = np.arange(variants[0].shape[0])
     copies = []
     owners = []
     glue_axis = manifold.gluing.axis if manifold.gluing is not None else None
-    for var in _deck_variants(manifold, pos):
+    for var in variants:
         copies.append(var)
         owners.append(base_owner)
         shifted = [(var, base_owner)]
@@ -162,24 +164,58 @@ def _deck_copies(manifold, pos, reach):
     return np.concatenate(copies, axis=0), np.concatenate(owners)
 
 
+# Cells per axis stay at most this many (plus one), so the int64 cell keys
+# of a 3-dimensional chart cannot overflow whatever eps is.
+_MAX_CELLS_PER_AXIS = 2 ** 20
+
+
 def _neighbor_screen(manifold, pos, eps):
     """Return ``neighbors(j)``: sorted indices within eps of ``pos[j]``.
 
-    The KD-tree holds deck copies of every point. The gluing is not an
-    isometry, so each query takes balls around the point and its own deck
-    images; hits are then confirmed with the exact quotient distance.
-    The relation is symmetric, so a candidate that an accepted sample does
-    not list is more than eps from it at time zero.
+    A cell grid holds deck copies of every point, sorted by the key of
+    their cubic cell, whose side is at least the search radius
+    eps (1 + 1e-9): a ball of that radius lies in the 3^d cells around its
+    center. Only occupied cells are indexed, by a binary search in the
+    sorted keys. Around a cell on the grid's edge some of those keys name
+    cells on the far side; that only adds candidates, which the distance
+    test drops. The gluing is not an isometry, so each query takes
+    balls around the point and its own deck images; copies inside them
+    are then confirmed with the exact quotient distance. The relation is
+    symmetric, so a candidate that an accepted sample does not list is
+    more than eps from it at time zero.
     """
-    from scipy.spatial import cKDTree  # scipy's one use, so loaded here
+    variants = _deck_variants(manifold, pos)
+    copies, owner = _deck_copies(manifold, variants, eps)
+    radius = eps * (1.0 + 1e-9)
+    lo = copies.min(axis=0)
+    span = copies.max(axis=0) - lo
+    side = max(radius, float(span.max()) / _MAX_CELLS_PER_AXIS)
+    shape = (span // side).astype(np.int64) + 1
+    weight = np.cumprod(np.r_[1, shape[:0:-1]])[::-1]   # row-major key
 
-    copies, owner = _deck_copies(manifold, pos, eps)
-    tree = cKDTree(copies)
+    def keys_of(x):
+        return np.floor((x - lo) / side).astype(np.int64) @ weight
+
+    keys = keys_of(copies)
+    order = np.argsort(keys, kind="stable")
+    keys, copies, owner = keys[order], copies[order], owner[order]
+    # one key range per row of 3 cells along the last axis
+    rows = np.array(list(itertools.product((-1, 0, 1),
+                                           repeat=copies.shape[1] - 1)),
+                    dtype=np.int64) @ weight[:-1]
+    queries = np.stack(variants, axis=1)                 # (n, variants, d)
+    query_keys = keys_of(queries)[..., None] + rows      # (n, variants, rows)
 
     def neighbors(j):
-        queries = np.stack(_deck_variants(manifold, pos[j]))
-        hits = tree.query_ball_point(queries, r=eps * (1.0 + 1e-9))
-        ids = np.unique(owner[[k for h in hits for k in h]])
+        start = np.searchsorted(keys, query_keys[j].ravel() - 1)
+        stop = np.searchsorted(keys, query_keys[j].ravel() + 1, side="right")
+        n_in = stop - start
+        idx = np.repeat(start - np.cumsum(n_in) + n_in, n_in) + np.arange(
+            n_in.sum())
+        d = copies[idx] - np.repeat(queries[j], n_in.reshape(
+            len(variants), -1).sum(axis=1), axis=0)
+        near = idx[np.einsum("ij,ij->i", d, d) <= radius * radius]
+        ids = np.unique(owner[near])
         ids = ids[ids != j]
         return ids[manifold.distance_array(pos[j], pos[ids]) <= eps]
 
@@ -198,7 +234,10 @@ def _separated_counts(cache: _OrbitCache, eps: float, horizons,
     orbits = cache.orbits
     n = orbits.shape[0]
     last = np.asarray(horizons) - 1
-    m_max = int(last[-1]) + 1
+    # only the strided times and the horizon endpoints are ever read
+    cols = np.union1d(np.arange(0, last[-1] + 1, stride), last)
+    on_stride = cols % stride == 0
+    at = np.searchsorted(cols, last)
     neighbors = _neighbor_screen(cache.manifold, orbits[:, 0, :], eps)
     taken = np.zeros(n, dtype=bool)
     blocked = np.zeros((n, last.size), dtype=bool)
@@ -217,9 +256,9 @@ def _separated_counts(cache: _OrbitCache, eps: float, horizons,
             nbr = nbr[~(taken[nbr] | blocked[nbr, c:].all(axis=1))]
             if nbr.size:
                 ex = cache.manifold.distance_array(
-                    orbits[j, :m_max], orbits[nbr, :m_max]) > eps
-                seen = np.logical_or.accumulate(ex[:, ::stride], axis=1)
-                blocked[nbr] |= ~(seen[:, last // stride] | ex[:, last])
+                    orbits[j, cols], orbits[nbr].take(cols, axis=1)) > eps
+                seen = np.logical_or.accumulate(ex & on_stride, axis=1)
+                blocked[nbr] |= ~(seen[:, at] | ex[:, at])
         counts.append(int(np.count_nonzero(taken)))
     return counts
 

@@ -155,8 +155,7 @@ def _tube_inequality_holds(f, source, y, t, tol) -> bool:
 
 
 def holonomy_orbit(f: FlowSpec, x: Point, beta: float, t: float, n: int,
-                   y: Point, tol: float = DEFAULT_TOL,
-                   radius_slack: float = 1.0) -> HolonomyOrbit:
+                   y: Point, tol: float = DEFAULT_TOL) -> HolonomyOrbit:
     """Compose holonomy over |n| steps of signed size t, rebuilding sections.
 
     ``n < 0`` walks the backward maps. Stops at the first step error and
@@ -173,8 +172,7 @@ def holonomy_orbit(f: FlowSpec, x: Point, beta: float, t: float, n: int,
     cur_y = y
     for k in range(1, abs(n) + 1):
         try:
-            res = holonomy(f, sec, step_t, cur_y, tol=tol,
-                           radius_slack=radius_slack)
+            res = holonomy(f, sec, step_t, cur_y, tol=tol)
         except (NoCrossing, LeftTube, Timeout, SingularBase) as exc:
             return HolonomyOrbit(results=results, error=exc, error_step=k)
         results.append(res)

@@ -1,8 +1,10 @@
 """CLI plumbing: config loading, validation exit codes, file outputs,
 determinism across worker counts (small scale)."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -381,21 +383,50 @@ def _probe(code):
 
 
 def test_import_does_not_load_scipy():
-    # scipy is imported only where entropy builds its KD-tree
     assert _probe("import sys, rflowlab, rflowlab.cli; "
                   "print('scipy' in sys.modules)") == "False"
 
 
-def test_runs_other_than_entropy_do_not_load_scipy(tmp_path):
-    """Only entropy's KD-tree may load scipy: importing scipy.ndimage after
-    rflowlab.cli raises resident memory from 31 to 55 MiB, far past the 10 %
-    peak-memory bound of a 52 MiB rset benchmark run."""
+def test_no_command_loads_scipy(tmp_path):
+    """No command needs scipy: importing scipy.ndimage or scipy.spatial
+    after rflowlab.cli raises resident memory from 31 to 55 or 65 MiB, far
+    past the 10 % peak-memory bound of every benchmark workload."""
     runs = [{"flow": TINY[c][0], "command": c, "params": TINY[c][1],
-             "output_dir": str(tmp_path / c)}
-            for c in ("holonomy", "rset", "expansivity", "uef")]
+             "output_dir": str(tmp_path / c)} for c in sorted(TINY)]
+    runs.append({"flow": "rigid_rotation", "command": "demo",
+                 "output_dir": str(tmp_path / "demo")})
+    assert {r["command"] for r in runs} == set(COMMANDS)
     code = ("import json, sys\n"
             "from rflowlab.cli import ExperimentConfig, run\n"
             f"runs = json.loads({json.dumps(runs)!r})\n"
             "print([run(ExperimentConfig(**c)) for c in runs], "
             "'scipy' in sys.modules)")
-    assert _probe(code) == "[0, 0, 0, 0] False"
+    assert _probe(code) == f"{[0] * len(runs)} False"
+
+
+def test_no_module_imports_scipy():
+    src = Path(cli.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, n) for n in names
+                      if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+
+    def names(reqs):
+        return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in reqs}
+
+    assert names(project["dependencies"]) == {"numpy"}
+    assert "scipy" in names(project["optional-dependencies"]["test"])

@@ -1,6 +1,7 @@
 """Separated-set counts and entropy estimates at module-test scale."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -100,32 +101,99 @@ def _pairwise_neighbors(manifold, pos, eps):
     return [np.flatnonzero(row <= eps) for row in d]
 
 
-def test_neighbor_screen_tree_matches_fallback():
-    """The KD-tree deck-copy screen finds exactly the all-pairs neighbors,
-    and the relation is symmetric, also for points within eps of the glued
-    fiber and of the periodic edges."""
+def _assert_screen_matches_pairwise(m, coords, eps):
+    """The grid screen lists exactly the all-pairs neighbors, symmetrically;
+    returns the number of ordered neighbor pairs."""
+    neighbors = ent._neighbor_screen(m, coords, eps)
+    got = [neighbors(i) for i in range(len(coords))]
+    want = _pairwise_neighbors(m, coords, eps)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert np.array_equal(a, b), (m.name, eps, i)
+    pairs = {(i, int(j)) for i, ids in enumerate(got) for j in ids}
+    assert pairs == {(j, i) for i, j in pairs}, m.name
+    return len(pairs)
+
+
+def _near_edges(m, coords, eps, rng, count):
+    """``coords`` with ``count`` points per periodic axis moved within eps
+    of that axis's edges (on the cat suspension, the glued fiber too)."""
+    coords = coords.copy()
+    for ax, per in enumerate(m.periodic_axes):
+        if per is None:
+            continue
+        sel = rng.choice(len(coords), count, replace=False)
+        off = rng.uniform(1e-6, eps, sel.size)
+        lo = m.axis_origins[ax]
+        coords[sel, ax] = np.where(rng.random(sel.size) < 0.5,
+                                   lo + off, lo + per - off)
+    return coords
+
+
+def test_neighbor_screen_grid_matches_pairwise():
+    """The cell-grid deck-copy screen finds exactly the all-pairs
+    neighbors, and the relation is symmetric, also for points within eps
+    of the glued fiber and of the periodic edges."""
     eps = 0.2
     rng = np.random.default_rng(60)
     for flow in (CAT, TORUS):
         m = flow.manifold
         pts = sample_points(flow, 400, seed=60)
-        coords = np.stack([p.coords for p in pts])
-        for ax, per in enumerate(m.periodic_axes):
-            if per is None:
-                continue
-            sel = rng.choice(len(coords), 100, replace=False)
-            off = rng.uniform(1e-6, eps, sel.size)
-            lo = m.axis_origins[ax]
-            coords[sel, ax] = np.where(rng.random(sel.size) < 0.5,
-                                       lo + off, lo + per - off)
-        neighbors = ent._neighbor_screen(m, coords, eps)
-        got = [neighbors(i) for i in range(len(coords))]
-        want = _pairwise_neighbors(m, coords, eps)
-        for i, (a, b) in enumerate(zip(got, want)):
-            assert np.array_equal(a, b), (flow.name, i)
-        pairs = {(i, int(j)) for i, ids in enumerate(got) for j in ids}
-        assert pairs == {(j, i) for i, j in pairs}, flow.name
-        assert len(pairs) > len(coords), flow.name
+        coords = _near_edges(m, np.stack([p.coords for p in pts]), eps, rng,
+                             100)
+        assert _assert_screen_matches_pairwise(m, coords, eps) > len(coords)
+
+
+@settings(max_examples=30, deadline=None)
+@given(flow=st.sampled_from([CAT, TORUS, RIGID]),
+       eps=st.floats(0.01, 0.6), seed=st.integers(0, 2**31 - 1),
+       n=st.integers(2, 150))
+def test_neighbor_screen_matches_pairwise_for_any_eps(flow, eps, seed, n):
+    m = flow.manifold
+    rng = np.random.default_rng(seed)
+    coords = np.stack([p.coords for p in sample_points(flow, n, seed=seed)])
+    _assert_screen_matches_pairwise(m, _near_edges(m, coords, eps, rng,
+                                                   n // 3), eps)
+
+
+@pytest.mark.parametrize("flow", [CAT, TORUS, RIGID], ids=lambda f: f.name)
+def test_neighbor_screen_tiny_eps_keys_cells_not_a_dense_table(flow):
+    """At eps = 1e-6 the grid would have ~1e19 cells; only occupied ones are
+    indexed. Pairs 1e-7 apart are found, also across each periodic edge and
+    the glued fiber."""
+    m = flow.manifold
+    coords = np.stack([p.coords for p in sample_points(flow, 60, seed=61)])
+    twins = coords[:20].copy()
+    twins[:, 0] += 1e-7
+    for ax, per in enumerate(m.periodic_axes):
+        if per is not None:     # a pair straddling the upper edge of ax
+            coords[20 + ax, ax] = m.axis_origins[ax] + per - 2e-7
+            twins[10 + ax] = coords[20 + ax]
+            twins[10 + ax, ax] += 4e-7
+    coords = m.wrap_array(np.concatenate([coords, twins]))
+    assert _assert_screen_matches_pairwise(m, coords, 1e-6) >= 2 * 20
+
+
+@pytest.mark.parametrize("flow", [CAT, TORUS, RIGID], ids=lambda f: f.name)
+def test_neighbor_screen_eps_beyond_the_chart(flow):
+    """An eps wider than the whole chart makes every pair a neighbor."""
+    m = flow.manifold
+    coords = np.stack([p.coords for p in sample_points(flow, 40, seed=62)])
+    assert _assert_screen_matches_pairwise(m, coords, 10.0) == 40 * 39
+
+
+def test_a_horizon_reads_only_its_strided_times_and_its_endpoint():
+    """Hand-made orbits on an axis of the solid torus chart, stride 2 and
+    horizons of 2 and 5 cached times. B (index 2) is within eps of A (0)
+    except at time 1, the first horizon's endpoint, which the second
+    horizon does not sample; C (1) blocks B at the first horizon only. So
+    B stays out at both horizons."""
+    x = np.array([[0.0, 0.0, 0.0, 0.0, 0.0],        # A
+                  [0.3, 0.3, 0.6, 0.6, 0.6],        # C
+                  [0.15, 0.35, 0.15, 0.15, 0.15]])  # B
+    orbits = np.zeros(x.shape + (3,))
+    orbits[..., 0] = x
+    cache = SimpleNamespace(orbits=orbits, manifold=TORUS.manifold)
+    assert ent._separated_counts(cache, 0.2, [2, 5], 2) == [2, 2]
 
 
 def test_report_serialization(tmp_path):

@@ -199,7 +199,7 @@ def test_holonomy_orbit_torus_offset_point_leaves_tube():
     """Constant transverse offsets outlive the shrinking rescaled radius."""
     x = _pt(TORUS, (-0.5, 0.0, 0.0))
     y = _pt(TORUS, (-0.5, 0.005, 0.0))
-    out = holonomy_orbit(TORUS, x, 0.1, 1.0, 40, y, radius_slack=1.0)
+    out = holonomy_orbit(TORUS, x, 0.1, 1.0, 40, y)
     assert isinstance(out.error, LeftTube)
     assert out.error_step <= 10
     # transverse coordinates and hit times are exact while the orbit exists
