@@ -40,6 +40,7 @@ SQRT5 = math.sqrt(5.0)
 LAMBDA_PLUS = (3.0 + SQRT5) / 2.0
 LAMBDA_MINUS = (3.0 - SQRT5) / 2.0
 CAT_MATRIX = np.array([[2.0, 1.0], [1.0, 1.0]])
+_HALF_PI = 0.5 * math.pi
 
 FLOW_NAMES = ("solid_torus", "cat_suspension", "rigid_rotation")
 
@@ -64,6 +65,10 @@ class FlowSpec:
     analytic_holonomy: Optional[Callable] = None   # (base, t, u) -> image coords
     known_entropy: Optional[float] = None
     smooth_sample_filter: Optional[Callable] = None  # mask for derivative sampling
+    # vectorized (..., d) -> (...) whose zeros are the surfaces where the
+    # field has a kink; the integrator ends steps just past them. Its sign
+    # must change at each kink an orbit crosses. None: the field is smooth.
+    switch: Optional[Callable] = None
 
 
 # ----------------------------------------------------------------- manifolds
@@ -103,9 +108,15 @@ def _rho(x):
     return np.minimum(np.abs(_reduce_x(x)), 1.0)
 
 
+def _solid_torus_switch(coords):
+    """cos(pi x / 2): zero at every odd x, where rho has its kinks |x| = 1."""
+    return np.cos(_HALF_PI * coords[..., 0])
+
+
 def _solid_torus_field(coords):
     coords = np.asarray(coords, dtype=float)
-    out = np.zeros_like(coords)
+    out = np.empty_like(coords)     # in coords' memory layout, as integrate wants
+    out[..., 1:] = 0.0
     out[..., 0] = _rho(coords[..., 0])
     return out
 
@@ -170,6 +181,7 @@ def _build_solid_torus() -> FlowSpec:
         analytic_holonomy=_disk_isometric_holonomy,
         known_entropy=0.0,
         smooth_sample_filter=smooth_filter,
+        switch=_solid_torus_switch,
     )
 
 

@@ -2,17 +2,29 @@
 
 One integrator serves every caller: an adaptive embedded Dormand-Prince
 5(4) pair with error-per-unit-step control (local error <= tol * h per
-accepted step, so roughly tol per unit time) that advances a batch of
-points together. Every catalog field is invariant under the deck maps of
-its manifold, so states are carried in the universal cover of the chart
-and wrapped into the fundamental domain only on output; crossing the glued
-fiber of a mapping torus needs no special handling during a step.
+accepted step, so roughly tol per unit time) run on a batch of points.
+Each point of the batch is its own run: it keeps its own step size, time
+cursor and FSAL stage, is stepped only while unfinished, and no other
+point's error or step touches its arithmetic, so a point gives the same
+bits in any batch as alone. Every catalog field is invariant under the
+deck maps of its manifold, so states are carried in the universal cover of
+the chart and wrapped into the fundamental domain only on output; crossing
+the glued fiber of a mapping torus needs no special handling during a step.
 
 Steps are chosen toward the last requested time only, which is landed on
 exactly; earlier sample times are filled from the pair's dense-output
 polynomial (Hairer, Norsett and Wanner, Solving ODEs I, section II.6;
 Dormand and Prince, and Shampine, 1986), so asking for more samples never
 changes the trajectory.
+
+A field with kinks (a flow's ``switch``) would defeat the error estimate
+of a step across one, which assumes a smooth field. A step that changes
+the switch's sign is therefore taken again, to end just past the zero the
+dense interpolant locates (the same reference, and Gear and Osterby,
+ACM TOMS 10, 1984), so no accepted step straddles a kink by more than a
+few tolerances. A caller that integrates the same points again, such as
+one holonomy horizon after another, can pass each point's last proposed
+step on (``steps``) instead of starting again from a small guess.
 
 Section crossings use standard event location (same reference): the
 plane function is scanned over dense samples of the window, which only
@@ -33,7 +45,7 @@ from .geometry import Point, _readonly
 
 DEFAULT_TOL = 1e-9
 T_MAX = 200.0           # |t| bound of flow_map and first_crossing windows
-MAX_STEPS = 200_000     # orbit_batch step budget; Timeout past it
+MAX_STEPS = 200_000     # step budget of each orbit_batch row; Timeout past it
 
 # Dormand-Prince 5(4) tableau
 _A21 = 1 / 5
@@ -69,46 +81,88 @@ class CrossingEvent:
     offset_coords: np.ndarray | None = None
 
 
-def _rk_step(fn, y, f0, h):
-    """One DP5(4) step; returns (y_new, f_new, err_inf, stages).
+def _rk_step(field, y, f0, h):
+    """One DP5(4) step of signed size h (one entry per row).
 
-    f_new is FSAL; stages are (k1, k3, k4, k5, k6, k7) for dense output.
+    States are held transposed, (d, n): each coordinate is a contiguous
+    row, so per-row step sizes broadcast along it; ``field`` sees (n, d)
+    views. Returns (y_new, f_new, err, stages): f_new is FSAL, err is
+    each row's largest error component, stages are (k1, k3, k4, k5, k6,
+    k7) for dense output.
     """
     k1 = f0
-    k2 = fn(y + h * (_A21 * k1))
-    k3 = fn(y + h * (_A3[0] * k1 + _A3[1] * k2))
-    k4 = fn(y + h * (_A4[0] * k1 + _A4[1] * k2 + _A4[2] * k3))
-    k5 = fn(y + h * (_A5[0] * k1 + _A5[1] * k2 + _A5[2] * k3 + _A5[3] * k4))
-    k6 = fn(y + h * (_A6[0] * k1 + _A6[1] * k2 + _A6[2] * k3 + _A6[3] * k4
-                     + _A6[4] * k5))
+    k2 = field((y + h * (_A21 * k1)).T).T
+    k3 = field((y + h * (_A3[0] * k1 + _A3[1] * k2)).T).T
+    k4 = field((y + h * (_A4[0] * k1 + _A4[1] * k2 + _A4[2] * k3)).T).T
+    k5 = field((y + h * (_A5[0] * k1 + _A5[1] * k2 + _A5[2] * k3
+                         + _A5[3] * k4)).T).T
+    k6 = field((y + h * (_A6[0] * k1 + _A6[1] * k2 + _A6[2] * k3 + _A6[3] * k4
+                         + _A6[4] * k5)).T).T
     y5 = y + h * (_B5[0] * k1 + _B5[2] * k3 + _B5[3] * k4 + _B5[4] * k5
                   + _B5[5] * k6)
-    k7 = fn(y5)
+    k7 = field(y5.T).T
     err = h * (_ERR[0] * k1 + _ERR[2] * k3 + _ERR[3] * k4 + _ERR[4] * k5
                + _ERR[5] * k6 + _ERR[6] * k7)
-    return y5, k7, float(np.max(np.abs(err))), (k1, k3, k4, k5, k6, k7)
+    return y5, k7, np.maximum.reduce(np.abs(err)), (k1, k3, k4, k5, k6, k7)
 
 
-def _dense(y, y_new, h, stages, theta):
-    """States at fractions theta of an accepted step from y to y_new.
-
-    The fourth-order Dormand-Prince interpolant; returns (n, m, d) for
-    theta of shape (m,).
-    """
+def _dense_coeffs(y, y_new, h, stages):
+    """Coefficients of the fourth-order Dormand-Prince interpolant of
+    steps of signed sizes h from y to y_new, transposed as in _rk_step."""
     k1, k3, k4, k5, k6, k7 = stages
     r2 = y_new - y
     r3 = h * k1 - r2
     r4 = r2 - h * k7 - r3
     r5 = h * (_D[0] * k1 + _D[2] * k3 + _D[3] * k4 + _D[4] * k5 + _D[5] * k6
               + _D[6] * k7)
-    th = theta[None, :, None]
-    return y[:, None] + th * (r2[:, None] + (1.0 - th) * (
-        r3[:, None] + th * (r4[:, None] + (1.0 - th) * r5[:, None])))
+    return y, r2, r3, r4, r5
 
 
-def _initial_step(y, f0, duration):
-    scale = (1.0 + float(np.max(np.abs(y)))) / (1.0 + float(np.max(np.abs(f0))))
-    return min(duration, max(1e-8, 0.01 * scale))
+def _dense(coeffs, th):
+    """Interpolated states at step fractions th, one per column."""
+    y, r2, r3, r4, r5 = coeffs
+    return y + th * (r2 + (1.0 - th) * (r3 + th * (r4 + (1.0 - th) * r5)))
+
+
+def _initial_step(f0, duration):
+    """Each row's first trial step, 0.01 at unit speed, from its own field
+    value alone: rows where the field agrees take the same steps."""
+    return np.minimum(duration, np.maximum(
+        1e-8, 0.02 / (1.0 + np.maximum.reduce(np.abs(f0)))))
+
+
+def _land_reach(tol):
+    """How far past a switching zero a step may end. The stages a step
+    evaluates at its end lie beyond the kink, which puts about d / 60 per
+    unit step into the error estimate of a step that ends d past it (per
+    unit jump of the field's derivative); d = 4 tol keeps that under a
+    tenth of the tolerance."""
+    return 4.0 * tol
+
+
+def _switch_zero(switch, coeffs, g0, g1, width):
+    """Step fractions at or just past the first zero of ``switch`` along
+    each row's dense interpolant, from values g0 at 0 and g1 at 1 on either
+    side of it (side meaning ``> 0`` or not); bracketed secant (Illinois)
+    until each row's bracket is narrower than its ``width``."""
+    a, b = np.zeros_like(g0), np.ones_like(g0)
+    ga, gb = g0, g1
+    a_last = b_last = np.zeros(g0.shape, dtype=bool)   # end moved last time
+    for _ in range(60):
+        act = b - a > width
+        if not np.count_nonzero(act):
+            break
+        mid = np.minimum(np.maximum((a * gb - b * ga) / (gb - ga), a), b)
+        gm = switch(_dense(coeffs, mid).T)
+        move_a = act & ((gm > 0) == (ga > 0))
+        move_b = act ^ move_a
+        # an end kept twice in a row has its value halved
+        gb = np.where(move_a & a_last, 0.5 * gb, gb)
+        ga = np.where(move_b & b_last, 0.5 * ga, ga)
+        a, ga = np.where(move_a, mid, a), np.where(move_a, gm, ga)
+        b, gb = np.where(move_b, mid, b), np.where(move_b, gm, gb)
+        a_last, b_last = move_a | (a_last & ~act), move_b | (b_last & ~act)
+    return b
 
 
 def flow_map(f, x: Point, t: float, tol: float = DEFAULT_TOL) -> Point:
@@ -144,60 +198,197 @@ def orbit(f, x: Point, times, tol: float = DEFAULT_TOL) -> OrbitSegment:
     return OrbitSegment(times=times, points=[Point(_readonly(s)) for s in states])
 
 
-def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL):
+def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
     """Sample many orbits at shared times; returns wrapped (n, m, d) array.
 
-    Runs in the universal cover with shared adaptive steps (error controlled
-    by the worst point of the batch) toward the last time, which is landed
-    on exactly; earlier times are filled from the dense-output polynomial
-    of the step that contains them, so they never shorten a step and the
-    last sample equals that of a call with the last time alone. Times must
-    be monotone away from zero, single sign. More than ``MAX_STEPS``
-    attempted steps raise Timeout.
+    Runs in the universal cover. Each row is its own adaptive DP5(4) run:
+    its own step size, time cursor and FSAL stage, toward the last time,
+    which it lands on exactly; rows that get there drop out of the batch.
+    Earlier times are filled from the dense-output polynomial of the step
+    that contains them, so they never shorten a step and the last sample
+    equals that of a call with the last time alone. No row's arithmetic
+    depends on another row, so each row is bit-identical to the same point
+    run alone.
+
+    When the flow has a ``switch`` and a row's trial step changes its
+    sign, the row locates the zero on that step's dense interpolant and
+    takes the step again, to just past the zero, so no accepted step
+    straddles a kink of the field by more than ``_land_reach(tol)``.
+
+    ``steps``, if given, holds each row's first trial step (NaN or 0 for
+    the default guess) and is overwritten with each row's next proposed
+    step, so a chain of calls continues each row's step size.
+
+    Times must be monotone away from zero, single sign. More than
+    ``MAX_STEPS`` attempted steps raise Timeout.
     """
     coords = np.asarray(coords, dtype=float)
     times = np.asarray(times, dtype=float)
-    out = np.empty((coords.shape[0], times.size, coords.shape[1]))
-    if times.size == 0:
+    m = times.size
+    out = np.empty((coords.shape[0], m, coords.shape[1]))
+    if m == 0:
         return out
-    signs = np.sign(times[np.abs(times) > 0])
-    if signs.size and (np.any(signs > 0) and np.any(signs < 0)):
-        raise ValueError("orbit_batch times must share one sign")
-    sign = 1.0 if (signs.size == 0 or signs[0] > 0) else -1.0
+    sign = -1.0 if times[-1] < 0 else 1.0
     abst = np.abs(times)
-    if np.any(np.diff(abst) <= 0):
-        raise ValueError("orbit_batch times must be monotone away from zero")
-
-    def fn(y):
-        return sign * f.field(y)
-
+    if m > 1:
+        if np.any(sign * times < 0):
+            raise ValueError("orbit_batch times must share one sign")
+        if np.any(np.diff(abst) <= 0):
+            raise ValueError("orbit_batch times must be monotone away from zero")
     target = float(abst[-1])
-    y = coords.copy()
-    f0 = fn(y)
-    h = _initial_step(y, f0, target if target > 0 else 1.0)
-    s = 0.0
-    steps = 0
-    j = 0   # first time not yet filled
-    while s < target - 1e-14:
-        if steps >= MAX_STEPS:
-            raise Timeout(f"{f.name}: batch step budget exhausted at t={s:.6g}")
-        hh = min(h, target - s)
-        y_new, f_new, err, stages = _rk_step(fn, y, f0, hh)
-        steps += 1
-        accepted = not (err > tol * hh and hh > 1e-13)
-        k = min(int(np.searchsorted(abst, s + hh, side="right")), abst.size - 1)
-        if accepted and k > j:
-            out[:, j:k] = _dense(y, y_new, hh, stages, (abst[j:k] - s) / hh)
-            j = k
-        del stages    # kept through the next step, they would raise peak memory
-        if not accepted:
-            h = hh * max(0.2, 0.9 * (tol * hh / err) ** 0.2)
+    if not target > 1e-14:
+        out[:] = coords[:, None]
+        return f.manifold.wrap_array(out)
+
+    field, switch = f.field, f.switch
+    done = target - 1e-14
+    y = coords.T.copy()             # transposed, as _rk_step holds states
+    f0 = field(y.T).T
+    if steps is None:
+        h = _initial_step(f0, target)
+    else:
+        given = steps > 0
+        h = steps.copy() if given.all() else np.where(given, steps,
+                                                      _initial_step(f0, target))
+    n = y.shape[1]
+    rows = np.arange(n)             # each live row's index in the batch
+    s = np.zeros(n)                 # time cursor
+    if m > 1:
+        inner = abst[:-1]               # sample times filled from dense output
+        j = np.zeros(n, dtype=np.intp)  # first sample time not yet filled
+    if switch is not None:
+        reach = _land_reach(tol)
+        up = switch(y.T) > 0        # the side of the switch each row is on
+        land = np.full(n, np.inf)   # a step that ends just past a located zero
+        landing = False             # whether any row takes such a step
+    for attempt in range(MAX_STEPS + 1):
+        if attempt == MAX_STEPS:
+            raise Timeout(f"{f.name}: batch step budget exhausted at "
+                          f"t={float(np.min(s)):.6g}")
+        hh = np.minimum(h, target - s)
+        if switch is not None and landing:
+            hh = np.minimum(hh, land)
+        hs = hh if sign > 0 else -hh
+        # a scalar step multiplies faster, and the same, where rows agree
+        y_new, f_new, err, stages = _rk_step(
+            field, y, f0,
+            hs[0] if hs.size > 1 and not np.count_nonzero(hs != hs[0]) else hs)
+        tol_h = tol * hh
+        # err == 0 (or below 1e-300) grows the step fivefold
+        h_next = hh * np.minimum(5.0, np.maximum(
+            0.2, 0.9 * (tol_h / np.maximum(err, 1e-300)) ** 0.2))
+        rejected = err > tol_h
+        n_rej = np.count_nonzero(rejected)
+        if n_rej:
+            rejected &= hh > 1e-13
+        if switch is not None:
+            g_new = switch(y_new.T)
+            up_new = g_new > 0
+            if landing:
+                # the error estimate of a landing step measures the kink;
+                # past it, the step size from before it still holds
+                landed = (land < np.inf) & ~rejected
+                h_next[landed] = np.maximum(h[landed], h_next[landed])
+                land[:] = np.inf
+                landing = False
+            cross = up_new != up
+            n_cross = np.count_nonzero(cross)
+            if n_cross:
+                # a step that ends more than reach past the zero is taken
+                # again, to just past it
+                if n_cross < cross.size:
+                    c = np.flatnonzero(cross)
+                    trial = (y[:, c], y_new[:, c], hs[c], [k[:, c] for k in stages])
+                else:
+                    c = slice(None)
+                    trial = (y, y_new, hs, stages)
+                th = _switch_zero(switch, _dense_coeffs(*trial),
+                                  switch(trial[0].T), g_new[c],
+                                  0.125 * reach / hh[c])
+                del trial
+                again = (1.0 - th) * hh[c] > reach
+                if np.count_nonzero(again):
+                    redo = np.arange(cross.size)[c][again]
+                    land[redo] = th[again] * hh[redo] + 0.25 * reach
+                    landing = True
+                    rejected[redo] = True
+                    h_next[redo] = h[redo]
+                    n_rej = np.count_nonzero(rejected)
+        if n_rej == rows.size:      # no row moves
+            h = h_next
+            del stages
             continue
-        s += hh
-        y, f0 = y_new, f_new
-        h = hh * (5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol * hh / err) ** 0.2)))
-    out[:, j:] = y[:, None]
+        if n_rej:
+            ok = ~rejected
+            s_new = np.where(ok, s + hh, s)
+        else:
+            ok = None
+            s_new = s + hh
+        if m > 1:
+            # the last time is filled on arrival
+            k = np.searchsorted(inner, s_new, side="right")
+            _fill_samples(out, rows, abst, s, hh, hs, j, k, y, y_new,
+                          stages, ok)
+        del stages    # kept through the next step, they would raise peak memory
+        if ok is None:
+            y, f0 = y_new, f_new
+            if switch is not None:
+                up = up_new
+        else:
+            y = np.where(ok, y_new, y)
+            f0 = np.where(ok, f_new, f0)
+            if switch is not None:
+                up = np.where(ok, up_new, up)
+        s = s_new
+        fin = s >= done
+        n_fin = np.count_nonzero(fin)
+        if n_fin:
+            if m > 1:
+                for r in np.flatnonzero(fin & (j < m - 1)):
+                    out[rows[r], j[r]:] = y[:, r]
+            last = slice(None) if n_fin == rows.size else fin
+            if steps is not None:
+                # a step cut short to land on the last time keeps the
+                # proposal from before it
+                steps[rows[last]] = np.maximum(h_next[last], np.where(
+                    h_next[last] < hh[last], 0.0, h[last]))
+            out[rows[last], m - 1] = y[:, last].T
+            if n_fin == rows.size:
+                break
+            keep = ~fin
+            rows, s, h_next = rows[keep], s[keep], h_next[keep]
+            y, f0 = y[:, keep], f0[:, keep]
+            if m > 1:
+                j = j[keep]
+            if switch is not None:
+                up, land = up[keep], land[keep]
+        h = h_next
     return f.manifold.wrap_array(out)
+
+
+def _fill_samples(out, rows, abst, s, hh, hs, j, k, y, y_new, stages, ok):
+    """Write each row's samples j..k-1 from the dense output of its step,
+    if it accepted the step, and advance j."""
+    cnt = k - j
+    if ok is not None:
+        cnt[~ok] = 0
+    most = int(np.maximum.reduce(cnt))
+    if most <= 0:
+        return
+    coeffs = _dense_coeffs(y, y_new, hs, stages)
+    if rows.size == 1 or (int(cnt.min()) == most and j.min() == j.max()):
+        # rows in step (one row, or rows whose field values agree, such as
+        # every row of a constant field) fill one block without a gather
+        cols = slice(int(j[0]), int(j[0]) + most)
+        th = ((abst[cols] - s[:, None]) / hh[:, None])[:, :, None]
+        out[slice(None) if rows.size == out.shape[0] else rows, cols] = _dense(
+            [c.T[:, None] for c in coeffs], th)
+    else:
+        pair = np.repeat(np.arange(rows.size), cnt)    # the row of each sample
+        cols = np.arange(pair.size) + np.repeat(j - (np.cumsum(cnt) - cnt), cnt)
+        out[rows[pair], cols] = _dense(np.stack(coeffs)[:, :, pair],
+                                       (abst[cols] - s[pair]) / hh[pair]).T
+    j += cnt
 
 
 def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,
@@ -227,14 +418,16 @@ def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,
     base = target.frame.base.coords
     nhat = target.frame.field_dir
 
+    steps = np.full(1, np.nan)   # every integration continues the last's step
+
     def land(start, dt):
         """The state dt after ``start``, landed on exactly."""
-        return orbit_batch(f, start[None], np.array([dt]), tol)[0, 0]
+        return orbit_batch(f, start[None], np.array([dt]), tol, steps)[0, 0]
 
     y_lo = land(y.coords, w_lo)
     n_grid = int(math.ceil((w_hi - w_lo) / 0.01)) + 1
     rel = np.linspace(0.0, w_hi - w_lo, n_grid)
-    states = orbit_batch(f, y_lo[None], rel, tol)[0]
+    states = orbit_batch(f, y_lo[None], rel, tol, steps)[0]
     states[0] = y_lo    # wrapping again need not give back the same bits
     disps = m.displacement(base, states)
     gvals = disps @ nhat

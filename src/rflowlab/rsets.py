@@ -59,6 +59,11 @@ ERROR_NAMES = {
     CELL_TIMEOUT: "timeout",
 }
 
+# A cell whose holonomy image lies farther than this many section radii
+# (beta * ||X||) from the base orbit has left the tube: it fails as
+# left_tube even where the rescaled tolerance is looser.
+RADIUS_SLACK = 4.0
+
 
 def _cell_offsets(res: int, w: float):
     """Section coordinates of the cell centers along either grid axis."""
@@ -177,7 +182,13 @@ class _Propagation:
 def _propagate_points(f: FlowSpec, section: CrossSection, t: float,
                       coords_u, sign: int, n_max: int, tol_factor: float,
                       beta: float, tol: float = DEFAULT_TOL,
-                      radius_slack: float = 4.0, record_tracks: bool = False):
+                      record_tracks: bool = False):
+    """Holonomy steps of section points, row 0 the base, until each fails.
+
+    Each row carries its step size from one horizon to the next, so a
+    row's step continues where its last horizon left it; a straggler,
+    re-located by ``first_crossing``, starts its next horizon afresh.
+    """
     m = f.manifold
     coords_u = np.asarray(coords_u, dtype=float)
     n_pts = coords_u.shape[0]
@@ -205,10 +216,12 @@ def _propagate_points(f: FlowSpec, section: CrossSection, t: float,
     trunc = None
     step_t = sign * t
     tracks = [] if record_tracks else None
+    steps = np.full(alive_idx.size, np.nan)   # each row's next trial step
 
     for k in range(1, n_max + 1):
         try:
-            Y_new = orbit_batch(f, Y, np.array([step_t]), tol=tol)[:, 0, :]
+            Y_new = orbit_batch(f, Y, np.array([step_t]), tol=tol,
+                                steps=steps)[:, 0, :]
         except Timeout:
             horizon = k - 1
             trunc = "timeout"
@@ -230,12 +243,13 @@ def _propagate_points(f: FlowSpec, section: CrossSection, t: float,
         stragglers = np.flatnonzero(np.abs(resid) > resid_tol)
         if stragglers.size:
             tgt = make_section(f, Point(bx), beta)
+            steps[stragglers] = np.nan
             for s_i in stragglers:
                 try:
                     ev = first_crossing(f, Point(Y[s_i].copy()), tgt,
                                         window=(step_t - 0.2 * abs(t) - 1e-6,
                                                 step_t + 0.2 * abs(t) + 1e-6),
-                                        tol=tol, radius_slack=radius_slack)
+                                        tol=tol, radius_slack=RADIUS_SLACK)
                     Y_new[s_i] = ev.hit_point.coords
                     dd = m.displacement(bx, Y_new[s_i])
                     disp[s_i] = dd
@@ -248,7 +262,7 @@ def _propagate_points(f: FlowSpec, section: CrossSection, t: float,
                     d[s_i] = np.inf
 
         tol_k = tol_factor * n_x
-        guard_k = radius_slack * beta * n_x
+        guard_k = RADIUS_SLACK * beta * n_x
         fail_tube = d > guard_k
         fail_tol = d > tol_k * (1.0 + 1e-9) + 1e-15
         fails = fail_tube | fail_tol
@@ -262,6 +276,7 @@ def _propagate_points(f: FlowSpec, section: CrossSection, t: float,
         keep = ~fails
         alive_idx = alive_idx[keep]
         Y = Y_new[keep]
+        steps = steps[keep]
         base_norms.append(n_x)
         if record_tracks:
             tracks.append((alive_idx.copy(), Y.copy()))
@@ -272,7 +287,7 @@ def _propagate_points(f: FlowSpec, section: CrossSection, t: float,
 
 
 def _march_grid(f, section, resolution, t, sign, n_max, tolerance_factor,
-                beta, direction, tol, radius_slack) -> RSetGrid:
+                beta, direction, tol) -> RSetGrid:
     """The membership grid over ``section``, components not yet labelled.
 
     In-disk cells are propagated as one batch with the center cell as row
@@ -290,8 +305,7 @@ def _march_grid(f, section, resolution, t, sign, n_max, tolerance_factor,
     inside[center] = False
     cells = np.concatenate(([center], np.flatnonzero(inside)))
     run = _propagate_points(f, section, t, flat_u[cells], sign, n_max,
-                            tolerance_factor, beta, tol=tol,
-                            radius_slack=radius_slack)
+                            tolerance_factor, beta, tol=tol)
     fail_step = np.zeros(res * res, dtype=int)
     error_state = np.full(res * res, CELL_OUTSIDE_SECTION, dtype=np.int8)
     fail_step[cells] = run.fail_step
@@ -315,17 +329,14 @@ def _march_grid(f, section, resolution, t, sign, n_max, tolerance_factor,
 
 def compute_rset(f: FlowSpec, x: Point, beta: float, t: float, n_max: int,
                  resolution: int, direction: str = "stable",
-                 tolerance_factor: Optional[float] = None,
-                 tol: float = DEFAULT_TOL, radius_slack: float = 4.0,
+                 tol: float = DEFAULT_TOL,
                  with_components: bool = True) -> RSetGrid:
     """Membership grid of the local R-stable or R-unstable set at x.
 
     The grid covers the shrunken section of radius (beta / L^t)||X(x)||.
     A cell is a member when every holonomy image through the certified
-    horizon exists and satisfies d <= tolerance_factor * ||X|| (default
-    tolerance_factor = beta / L^t, the shrunken factor; pass beta to test
-    the looser tube reading, or numpy.inf to reduce membership to orbit
-    existence).
+    horizon exists and satisfies d <= (beta / L^t) * ||X||, the shrunken
+    factor again.
     """
     if direction not in ("stable", "unstable"):
         raise ValueError("direction must be 'stable' or 'unstable'")
@@ -337,12 +348,10 @@ def compute_rset(f: FlowSpec, x: Point, beta: float, t: float, n_max: int,
         raise BetaTooLarge(f"beta={beta} exceeds beta0={f.rescale.beta0}")
     L = f.rescale.L
     domain_factor = beta / L ** t
-    if tolerance_factor is None:
-        tolerance_factor = domain_factor
     section = make_section(f, x, domain_factor)
     grid = _march_grid(f, section, resolution, t,
                        1 if direction == "stable" else -1, n_max,
-                       tolerance_factor, beta, direction, tol, radius_slack)
+                       domain_factor, beta, direction, tol)
     if with_components:
         connected_component(grid)
     return grid
@@ -415,7 +424,7 @@ def dynamical_ball(f: FlowSpec, x: Point, n: int, epsilon: float, t: float,
         raise BetaTooLarge(f"epsilon={epsilon} exceeds beta0={f.rescale.beta0}")
     section = make_section(f, x, epsilon)
     grid = _march_grid(f, section, resolution, t, 1, n, epsilon, epsilon,
-                       "ball", tol, 4.0)
+                       "ball", tol)
     connected_component(grid)
     return DynamicalBall(section=section, n=n, epsilon=epsilon, grid=grid)
 
@@ -591,15 +600,17 @@ def _first_separation(f, x, sec, u0, beta, t, budget, tol):
         return 0
     states = {}
     for sign in (1, -1):
+        # the pair's step sizes carry from one horizon to the next
         states[sign] = {"pair": m.wrap_array(np.vstack([x.coords, y0])),
-                        "dead": False}
+                        "steps": np.full(2, np.nan), "dead": False}
     for i in range(1, budget + 1):
         for sign in (1, -1):
             st = states[sign]
             if st["dead"]:
                 continue
             try:
-                nxt = orbit_batch(f, st["pair"], np.array([sign * t]), tol=tol)[:, 0, :]
+                nxt = orbit_batch(f, st["pair"], np.array([sign * t]), tol=tol,
+                                  steps=st["steps"])[:, 0, :]
             except Timeout:
                 st["dead"] = True
                 continue

@@ -14,6 +14,7 @@ from rflowlab.errors import LeftTube, NoCrossing
 from rflowlab.flows import CAT_MATRIX, get_flow, sample_points
 from rflowlab.integrate import first_crossing, flow_map, orbit, orbit_batch
 from rflowlab.sections import make_section
+from torus_orbit import x_after
 
 TORUS = get_flow("solid_torus")
 CAT = get_flow("cat_suspension")
@@ -140,21 +141,55 @@ def test_orbit_batch_against_scipy_oracle():
             assert TORUS.manifold.distance_array(batch[i, j], ref.y[:, j]) < 1e-7
 
 
-def _step_ends(flow, pts, t, tol):
-    """|s| at the ends of the accepted steps of ``orbit_batch`` to t alone."""
+def _row_steps(calls):
+    """Per ``_rk_step`` call of one ``orbit_batch`` run, each row's |h| and
+    whether the row accepted the step.
+
+    Rows keep their order and only finished rows leave the batch, so the
+    next call's states are, in order, each staying row's new state (an
+    accepted step) or its old one (a rejected step); a row missing from
+    the next call accepted its last step and finished.
+    """
+    out = []
+    nxt_states = [c[0] for c in calls[1:]] + [np.empty((0, 0))]
+    for (y, h, y_new), nxt in zip(calls, nxt_states):
+        col, acc = 0, []
+        for i in range(y.shape[1]):
+            stay = col < nxt.shape[-1]
+            if stay and np.array_equal(nxt[:, col], y_new[:, i]):
+                acc.append(True)
+                col += 1
+            elif stay and np.array_equal(nxt[:, col], y[:, i]):
+                acc.append(False)
+                col += 1
+            else:
+                acc.append(True)
+        out.append((np.abs(h), np.array(acc)))
+    return out
+
+
+def _spy_steps(run):
+    """``run()`` under a spy on ``_rk_step``; returns ``_row_steps``."""
     calls = []
     real = integrate._rk_step
 
-    def spy(fn, y, f0, h):
-        calls.append((y, h))
-        return real(fn, y, f0, h)
+    def spy(field, y, f0, h):
+        res = real(field, y, f0, h)
+        calls.append((y, h, res[0]))
+        return res
 
     with mock.patch.object(integrate, "_rk_step", spy):
-        orbit_batch(flow, pts, np.array([t]), tol)
-    # a step is accepted when the next step starts from a new state
-    accepted = [h for (y, h), nxt in zip(calls, calls[1:] + [(None, 0)])
-                if nxt[0] is not y]
-    return np.cumsum(accepted)
+        run()
+    return _row_steps(calls)
+
+
+def _step_ends(flow, pts, t, tol):
+    """|s| at the ends of the accepted steps of each point's run to t."""
+    ends = []
+    for p in pts:
+        steps = _spy_steps(lambda: orbit_batch(flow, p[None], np.array([t]), tol))
+        ends += list(np.cumsum([h[0] for h, acc in steps if acc[0]]))
+    return np.array(sorted(ends))
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,7 +214,7 @@ def test_sample_times_never_change_the_trajectory(flow, seed, n, tol, t, sign,
                           orbit_batch(flow, pts, times[-1:], tol)[:, 0])
     for j, tau in enumerate(times):
         # Gronwall growth e^|t| (the fields are 1-Lipschitz) times a slack
-        # for a step that straddles a kink of the solid torus speed profile
+        # for the dense-output polynomial between step ends
         bound = 100 * tol * math.exp(abs(tau))
         landed = orbit_batch(flow, pts, times[j:j + 1], tol)[:, 0]
         assert np.all(flow.manifold.distance_array(samples[:, j], landed)
@@ -187,38 +222,12 @@ def test_sample_times_never_change_the_trajectory(flow, seed, n, tol, t, sign,
 
 
 # ------------------------------------------- solid torus closed-form oracle
-#
-# dx/dt = rho(x) = min(|x|, 1), x reduced to [-2, 2). The orbit time
-# tau(x) below has dtau/dt = 1 on every piece: exponential growth on
-# (0, 1], unit speed through [1, 2) and [-2, -1], exponential decay on
-# [-1, 0). Transverse coordinates never move.
-
-def _torus_tau(x):
-    x = (x + 2.0) % 4.0 - 2.0
-    if 0.0 < x <= 1.0:
-        return math.log(x)
-    if x > 1.0:
-        return x - 1.0
-    if x <= -1.0:
-        return x + 3.0
-    return 2.0 - math.log(-x)
-
-
-def _torus_x(tau):
-    if tau <= 0.0:
-        return math.exp(tau)
-    if tau < 1.0:
-        return tau + 1.0
-    if tau <= 2.0:
-        return tau - 3.0
-    return -math.exp(2.0 - tau)
-
 
 def _torus_error_ratio(pts, times, tol):
     """Distance of orbit_batch's samples from the closed form, over tol e^|t|."""
     got = orbit_batch(TORUS, pts, times, tol)
-    want = np.array([[(_torus_x(_torus_tau(p[0]) + t), p[1], p[2])
-                      for t in times] for p in pts])
+    want = np.array([[(x_after(p[0], t), p[1], p[2]) for t in times]
+                     for p in pts])
     err = TORUS.manifold.distance_array(got, want)
     return err / (tol * np.exp(np.abs(times)))
 
@@ -239,11 +248,35 @@ def test_solid_torus_matches_closed_form_away_from_kinks(sign, mags, disk,
     assert np.all(_torus_error_ratio(pts, times, tol) <= 1.0)
 
 
+# starts on the kinks of rho at |x| = 1 and within 1e-9 of them
+KINK_STARTS = (1.0, 1.0 - 1e-9, 1.0 + 1e-9, -1.0, -1.0 - 1e-9, -1.0 + 1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sign=st.sampled_from((1.0, -1.0)),
+       xs=st.lists(st.one_of(
+           st.tuples(st.floats(1e-6, 2.0), st.sampled_from((1.0, -1.0))).map(
+               lambda mag_side: mag_side[0] * mag_side[1]),
+           st.sampled_from(KINK_STARTS)), min_size=1, max_size=4),
+       disk=st.floats(-0.4, 0.4), tol=st.sampled_from((1e-7, 1e-9)),
+       t=st.floats(0.05, 4.0), fractions=st.lists(st.floats(0.01, 1.0),
+                                                  max_size=6))
+def test_solid_torus_matches_closed_form_across_kinks(sign, xs, disk, tol, t,
+                                                      fractions):
+    """Orbits headed for a kink of rho at |x| = 1, in both time directions,
+    some starting on a kink or within 1e-9 of one: every sample within
+    tol e^|t| of the closed form. The starts the test above covers, moving
+    toward the singular disk, are mapped across x = 0 onto this domain."""
+    # sign * x in (-1, 0) decays toward the singular disk without a kink
+    xs = [-x if -1.0 < sign * x < 0.0 else x for x in xs]
+    pts = np.array([(x, disk, -0.5 * disk) for x in xs])
+    times = sign * np.unique(np.r_[[t * x for x in fractions], t])
+    assert np.all(_torus_error_ratio(pts, times, tol) <= 1.0)
+
+
 TORUS_KINK_ROW = 39   # x0 = 0.794, crosses the kink at x = 1 near t = 0.23
 
 
-@pytest.mark.xfail(strict=True, reason="the batch's shared steps straddle "
-                   "the kink of rho at x = 1 without error control")
 def test_solid_torus_batch_meets_tolerance_across_kinks():
     pts = np.stack([p.coords for p in sample_points(TORUS, 40, seed=5)])
     times = np.linspace(0.0, 2.0, 41)[1:]
@@ -251,12 +284,48 @@ def test_solid_torus_batch_meets_tolerance_across_kinks():
 
 
 def test_solid_torus_kink_point_alone_meets_tolerance():
-    """The row the batch misses above meets the tolerance on its own steps."""
+    """The batch row above that crosses a kink soonest, run on its own."""
     pts = np.stack([p.coords for p in sample_points(TORUS, 40, seed=5)])
     row = pts[TORUS_KINK_ROW:TORUS_KINK_ROW + 1]
     assert row[0, 0] == pytest.approx(0.794, abs=1e-3)
     times = np.linspace(0.0, 2.0, 41)[1:]
     assert np.max(_torus_error_ratio(row, times, 1e-7)) <= 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(flow=st.sampled_from((TORUS, CAT, RIGID)),
+       seed=st.integers(0, 2**16), n=st.integers(2, 6),
+       tol=st.sampled_from((1e-9, 1e-7)), t=st.floats(0.05, 3.0),
+       sign=st.sampled_from((1.0, -1.0)),
+       fractions=st.lists(st.floats(0.01, 1.0), max_size=5))
+def test_each_row_is_bit_identical_to_the_row_run_alone(flow, seed, n, tol, t,
+                                                       sign, fractions):
+    """Two chained calls that carry each row's step size: every row's
+    samples and carried step equal those of the row's own chain, bit for
+    bit."""
+    pts = np.stack([p.coords for p in sample_points(flow, n, seed=seed)])
+    times = sign * np.unique(np.r_[[t * x for x in fractions], t])
+    steps = np.full(n, np.nan)
+    first = orbit_batch(flow, pts, times, tol, steps)
+    second = orbit_batch(flow, first[:, -1], times, tol, steps)
+    for i in range(n):
+        alone = np.full(1, np.nan)
+        a = orbit_batch(flow, pts[i:i + 1], times, tol, alone)
+        b = orbit_batch(flow, a[:, -1], times, tol, alone)
+        assert np.array_equal(a[0], first[i]) and np.array_equal(b[0], second[i])
+        assert alone[0] == steps[i]
+
+
+def test_kink_crossing_step_counts_stay_pinned():
+    """Rows that cross x = 1 land on the kink instead of being rejected
+    across it: the attempted and rejected row steps of a small batch,
+    counted on ``_rk_step``, stay at or under their pinned counts (73 and
+    12; shared steps that straddled the kink took 728 and 444)."""
+    pts = np.array([(x, 0.1, 0.0) for x in (0.5, 0.7, 0.9, 0.99)])
+    steps = _spy_steps(lambda: orbit_batch(TORUS, pts, np.array([1.0]), 1e-9))
+    attempted = sum(h.size for h, _ in steps)
+    rejected = sum(int(np.sum(~acc)) for _, acc in steps)
+    assert attempted <= 73 and rejected <= 12, (attempted, rejected)
 
 
 def test_first_crossing_at_base():

@@ -8,12 +8,14 @@ widths, and separation horizons in closed form.
 """
 
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rflowlab import integrate, rsets
 from rflowlab.errors import BetaTooLarge, BudgetExhausted, GammaTooLarge, SingularBase
 from rflowlab.flows import CAT_MATRIX, LAMBDA_PLUS, get_flow, reversed_flow, sample_points
 from rflowlab.rsets import (
@@ -29,8 +31,11 @@ from rflowlab.rsets import (
     dynamical_ball,
     membership_predicate,
     sphere_reach,
+    _propagate_points,
     uniform_expansiveness_scan,
 )
+from rflowlab.sections import SINGULAR_NORM, make_section
+from torus_orbit import x_after
 
 TORUS = get_flow("solid_torus")
 CAT = get_flow("cat_suspension")
@@ -105,11 +110,19 @@ def test_cat_stable_large_horizon_collapses():
 
 
 def test_vacuous_tolerance_membership_is_existence():
+    """With an infinite tolerance factor a cell fails only by leaving the
+    tube of RADIUS_SLACK section radii: at n = 3 every cell of the shrunken
+    section stays inside it, so every cell's orbit exists and survives."""
     x = _pt(CAT, (0.31, 0.62, 0.47))
-    g = compute_rset(CAT, x, 0.1, 1.0, 3, 41, "stable",
-                     tolerance_factor=np.inf, radius_slack=np.inf)
-    in_disk = _in_disk(g)
-    assert np.array_equal(g.membership, in_disk)
+    beta, t = 0.1, 1.0
+    section = make_section(CAT, x, beta / CAT.rescale.L ** t)
+    offs = (np.arange(41) - 20) * (2.0 * section.radius / 41)
+    cells = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
+    cells = cells[np.linalg.norm(cells, axis=-1) <= section.radius]
+    cells = cells[np.argsort(np.linalg.norm(cells, axis=-1), kind="stable")]
+    run = _propagate_points(CAT, section, t, cells, 1, 3, np.inf, beta)
+    assert run.horizon == 3 and run.truncation_reason is None
+    assert np.all(run.fail_step == 4) and np.all(run.error_state == 0)
 
 
 def test_membership_monotone_in_horizon():
@@ -455,3 +468,76 @@ def test_stable_set_contracts_with_bottom_eigenvalue():
         ratio = diam / diam_prev
         assert ratio == pytest.approx(lam_minus, rel=0.10), k
         diam_prev = diam
+
+
+# ------------------------------------------- per-row steps through the grid
+
+@pytest.mark.parametrize("flow, coords, n_max", [
+    (CAT, (0.31, 0.62, 0.47), 5),
+    (TORUS, (0.56, 0.1, 0.0), 40),    # crosses x = 1, then decays to x = 0
+    (TORUS, (-1.3, 0.2, -0.1), 40),   # crosses x = -1
+])
+@pytest.mark.parametrize("direction", ["stable", "unstable"])
+def test_grid_cell_equals_the_cell_run_alone(flow, coords, n_max, direction):
+    """Every cell's fail step and error state in the full grid equal those
+    of the cell propagated with its base alone, through membership_predicate."""
+    x = _pt(flow, coords)
+    g = compute_rset(flow, x, 0.1, 1.0, n_max, 21, direction,
+                     with_components=False)
+    cells = np.argwhere(_in_disk(g))
+    rng = np.random.default_rng(7)
+    picked = cells[rng.choice(len(cells), size=12, replace=False)]
+    u = g.cell_coords()[picked[:, 0], picked[:, 1]]
+    for (i, j), uv in zip(picked, u):
+        fail, run = membership_predicate(flow, x, 0.1, 1.0, n_max, direction,
+                                         uv[None])
+        assert run.horizon == g.horizon_certified
+        assert fail[0] == g.fail_step[i, j]
+        assert run.error_state[1] == g.error_state[i, j]
+
+
+def test_torus_horizon_is_the_closed_form_step_to_the_singular_disk():
+    """horizon_certified is one less than the first step k whose closed-form
+    base point has |x| <= SINGULAR_NORM (n_max if none). Points whose |x| at
+    that step lies within 1 % of the cutoff are skipped: the cutoff is below
+    the integration tolerance, so rounding decides there."""
+    t, n_max = 1.0, 40
+    checked = 0
+    for x in sample_points(TORUS, 8, seed=105, x_range=(0.1, 1.0)):
+        for direction, sign in (("stable", 1.0), ("unstable", -1.0)):
+            xs = np.array([abs(x_after(x.coords[0], sign * k * t))
+                           for k in range(1, n_max + 1)])
+            below = np.flatnonzero(xs <= SINGULAR_NORM)
+            want = int(below[0]) if below.size else n_max
+            if below.size and abs(xs[below[0]] / SINGULAR_NORM - 1.0) <= 0.01:
+                continue
+            g = compute_rset(TORUS, x, 0.1, t, n_max, 3, direction,
+                             with_components=False)
+            assert g.horizon_certified == want, (x.coords, direction)
+            checked += 1
+    assert checked >= 12
+
+
+def test_propagation_carries_step_sizes_across_horizons():
+    """On the suspension every horizon after the first takes one DP5 step:
+    each row starts from the step size its last horizon proposed."""
+    steps_per_call, count = [], [0]
+    real_step, real_batch = integrate._rk_step, rsets.orbit_batch
+
+    def step(*args):
+        count[0] += 1
+        return real_step(*args)
+
+    def batch(*args, **kwargs):
+        count[0] = 0
+        out = real_batch(*args, **kwargs)
+        steps_per_call.append(count[0])
+        return out
+
+    x = _pt(CAT, (0.31, 0.62, 0.47))
+    coords = 0.001 * np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]])
+    with mock.patch.object(integrate, "_rk_step", step), \
+            mock.patch.object(rsets, "orbit_batch", batch):
+        fail, run = membership_predicate(CAT, x, 0.1, 1.0, 6, "stable", coords)
+    assert len(steps_per_call) == 6
+    assert steps_per_call[0] > 1 and steps_per_call[1:] == [1] * 5
