@@ -46,6 +46,12 @@ from .geometry import Point, _readonly
 DEFAULT_TOL = 1e-9
 T_MAX = 200.0           # |t| bound of flow_map and first_crossing windows
 MAX_STEPS = 200_000     # step budget of each orbit_batch row; Timeout past it
+# How far past a switching zero a step may end, in tolerances. The stages a
+# step evaluates at its end lie beyond the kink, which puts about d / 60 per
+# unit step into the error estimate of a step that ends d past it (per unit
+# jump of the field's derivative); d = 4 tol keeps that under a tenth of the
+# tolerance.
+_LAND_REACH = 4.0
 
 # Dormand-Prince 5(4) tableau
 _A21 = 1 / 5
@@ -131,15 +137,6 @@ def _initial_step(f0, duration):
         1e-8, 0.02 / (1.0 + np.maximum.reduce(np.abs(f0)))))
 
 
-def _land_reach(tol):
-    """How far past a switching zero a step may end. The stages a step
-    evaluates at its end lie beyond the kink, which puts about d / 60 per
-    unit step into the error estimate of a step that ends d past it (per
-    unit jump of the field's derivative); d = 4 tol keeps that under a
-    tenth of the tolerance."""
-    return 4.0 * tol
-
-
 def _switch_zero(switch, coeffs, g0, g1, width):
     """Step fractions at or just past the first zero of ``switch`` along
     each row's dense interpolant, from values g0 at 0 and g1 at 1 on either
@@ -213,7 +210,7 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
     When the flow has a ``switch`` and a row's trial step changes its
     sign, the row locates the zero on that step's dense interpolant and
     takes the step again, to just past the zero, so no accepted step
-    straddles a kink of the field by more than ``_land_reach(tol)``.
+    straddles a kink of the field by more than ``_LAND_REACH * tol``.
 
     ``steps``, if given, holds each row's first trial step (NaN or 0 for
     the default guess) and is overwritten with each row's next proposed
@@ -244,12 +241,9 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
     done = target - 1e-14
     y = coords.T.copy()             # transposed, as _rk_step holds states
     f0 = field(y.T).T
-    if steps is None:
-        h = _initial_step(f0, target)
-    else:
-        given = steps > 0
-        h = steps.copy() if given.all() else np.where(given, steps,
-                                                      _initial_step(f0, target))
+    h = _initial_step(f0, target)
+    if steps is not None:
+        h = np.where(steps > 0, steps, h)
     n = y.shape[1]
     rows = np.arange(n)             # each live row's index in the batch
     s = np.zeros(n)                 # time cursor
@@ -257,19 +251,19 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
         inner = abst[:-1]               # sample times filled from dense output
         j = np.zeros(n, dtype=np.intp)  # first sample time not yet filled
     if switch is not None:
-        reach = _land_reach(tol)
+        reach = _LAND_REACH * tol
         up = switch(y.T) > 0        # the side of the switch each row is on
         land = np.full(n, np.inf)   # a step that ends just past a located zero
-        landing = False             # whether any row takes such a step
     for attempt in range(MAX_STEPS + 1):
         if attempt == MAX_STEPS:
             raise Timeout(f"{f.name}: batch step budget exhausted at "
                           f"t={float(np.min(s)):.6g}")
         hh = np.minimum(h, target - s)
-        if switch is not None and landing:
+        if switch is not None:
             hh = np.minimum(hh, land)
         hs = hh if sign > 0 else -hh
-        # a scalar step multiplies faster, and the same, where rows agree
+        # a step that every row shares, as at a horizon all rows are capped
+        # at, is passed as a scalar: the same bits, and faster on a large grid
         y_new, f_new, err, stages = _rk_step(
             field, y, f0,
             hs[0] if hs.size > 1 and not np.count_nonzero(hs != hs[0]) else hs)
@@ -277,60 +271,45 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
         # err == 0 (or below 1e-300) grows the step fivefold
         h_next = hh * np.minimum(5.0, np.maximum(
             0.2, 0.9 * (tol_h / np.maximum(err, 1e-300)) ** 0.2))
-        rejected = err > tol_h
-        n_rej = np.count_nonzero(rejected)
-        if n_rej:
-            rejected &= hh > 1e-13
+        # a step at the minimum size is taken whatever its error
+        rejected = (err > tol_h) & (hh > 1e-13)
         if switch is not None:
             g_new = switch(y_new.T)
             up_new = g_new > 0
-            if landing:
-                # the error estimate of a landing step measures the kink;
-                # past it, the step size from before it still holds
-                landed = (land < np.inf) & ~rejected
-                h_next[landed] = np.maximum(h[landed], h_next[landed])
-                land[:] = np.inf
-                landing = False
+            # the error estimate of a landing step measures the kink; past
+            # it, the step size from before it still holds
+            landed = (land < np.inf) & ~rejected
+            h_next[landed] = np.maximum(h[landed], h_next[landed])
+            land[:] = np.inf
             cross = up_new != up
             n_cross = np.count_nonzero(cross)
             if n_cross:
                 # a step that ends more than reach past the zero is taken
-                # again, to just past it
-                if n_cross < cross.size:
-                    c = np.flatnonzero(cross)
-                    trial = (y[:, c], y_new[:, c], hs[c], [k[:, c] for k in stages])
-                else:
-                    c = slice(None)
-                    trial = (y, y_new, hs, stages)
-                th = _switch_zero(switch, _dense_coeffs(*trial),
-                                  switch(trial[0].T), g_new[c],
+                # again, to just past it; rows that all cross together (a
+                # grid in a section across the kink) are read without a copy
+                c = np.flatnonzero(cross) if n_cross < cross.size else slice(None)
+                coeffs = _dense_coeffs(y[:, c], y_new[:, c], hs[c],
+                                       [k[:, c] for k in stages])
+                th = _switch_zero(switch, coeffs, switch(y[:, c].T), g_new[c],
                                   0.125 * reach / hh[c])
-                del trial
                 again = (1.0 - th) * hh[c] > reach
-                if np.count_nonzero(again):
-                    redo = np.arange(cross.size)[c][again]
-                    land[redo] = th[again] * hh[redo] + 0.25 * reach
-                    landing = True
-                    rejected[redo] = True
-                    h_next[redo] = h[redo]
-                    n_rej = np.count_nonzero(rejected)
-        if n_rej == rows.size:      # no row moves
+                redo = np.arange(cross.size)[c][again]
+                land[redo] = th[again] * hh[redo] + 0.25 * reach
+                rejected[redo] = True
+                h_next[redo] = h[redo]
+        ok = ~rejected
+        n_ok = np.count_nonzero(ok)
+        if not n_ok:                # no row moves
             h = h_next
-            del stages
             continue
-        if n_rej:
-            ok = ~rejected
-            s_new = np.where(ok, s + hh, s)
-        else:
-            ok = None
-            s_new = s + hh
+        every = n_ok == ok.size     # all rows move: no select, no new arrays
+        s_new = s + hh if every else np.where(ok, s + hh, s)
         if m > 1:
-            # the last time is filled on arrival
-            k = np.searchsorted(inner, s_new, side="right")
-            _fill_samples(out, rows, abst, s, hh, hs, j, k, y, y_new,
-                          stages, ok)
+            # the last time is filled on arrival; a rejected step fills none
+            k = np.where(ok, np.searchsorted(inner, s_new, side="right"), j)
+            _fill_samples(out, rows, abst, s, hh, hs, j, k, y, y_new, stages)
         del stages    # kept through the next step, they would raise peak memory
-        if ok is None:
+        if every:
             y, f0 = y_new, f_new
             if switch is not None:
                 up = up_new
@@ -341,21 +320,19 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
                 up = np.where(ok, up_new, up)
         s = s_new
         fin = s >= done
-        n_fin = np.count_nonzero(fin)
-        if n_fin:
+        if np.count_nonzero(fin):
             if m > 1:
                 for r in np.flatnonzero(fin & (j < m - 1)):
                     out[rows[r], j[r]:] = y[:, r]
-            last = slice(None) if n_fin == rows.size else fin
             if steps is not None:
                 # a step cut short to land on the last time keeps the
                 # proposal from before it
-                steps[rows[last]] = np.maximum(h_next[last], np.where(
-                    h_next[last] < hh[last], 0.0, h[last]))
-            out[rows[last], m - 1] = y[:, last].T
-            if n_fin == rows.size:
-                break
+                steps[rows[fin]] = np.maximum(h_next[fin], np.where(
+                    h_next[fin] < hh[fin], 0.0, h[fin]))
+            out[rows[fin], m - 1] = y[:, fin].T
             keep = ~fin
+            if not np.count_nonzero(keep):
+                break
             rows, s, h_next = rows[keep], s[keep], h_next[keep]
             y, f0 = y[:, keep], f0[:, keep]
             if m > 1:
@@ -366,23 +343,21 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
     return f.manifold.wrap_array(out)
 
 
-def _fill_samples(out, rows, abst, s, hh, hs, j, k, y, y_new, stages, ok):
-    """Write each row's samples j..k-1 from the dense output of its step,
-    if it accepted the step, and advance j."""
+def _fill_samples(out, rows, abst, s, hh, hs, j, k, y, y_new, stages):
+    """Write each row's samples j..k-1 from the dense output of its step
+    and advance j."""
     cnt = k - j
-    if ok is not None:
-        cnt[~ok] = 0
     most = int(np.maximum.reduce(cnt))
-    if most <= 0:
+    if not most:
         return
     coeffs = _dense_coeffs(y, y_new, hs, stages)
-    if rows.size == 1 or (int(cnt.min()) == most and j.min() == j.max()):
-        # rows in step (one row, or rows whose field values agree, such as
-        # every row of a constant field) fill one block without a gather
+    if int(cnt.min()) == most and j.min() == j.max():
+        # rows in step fill one block of columns. Every row of a constant
+        # field is (cat_suspension's), where a gather of the coefficients
+        # per sample would copy them once per sample time
         cols = slice(int(j[0]), int(j[0]) + most)
         th = ((abst[cols] - s[:, None]) / hh[:, None])[:, :, None]
-        out[slice(None) if rows.size == out.shape[0] else rows, cols] = _dense(
-            [c.T[:, None] for c in coeffs], th)
+        out[rows, cols] = _dense([c.T[:, None] for c in coeffs], th)
     else:
         pair = np.repeat(np.arange(rows.size), cnt)    # the row of each sample
         cols = np.arange(pair.size) + np.repeat(j - (np.cumsum(cnt) - cnt), cnt)

@@ -323,9 +323,30 @@ def test_kink_crossing_step_counts_stay_pinned():
     12; shared steps that straddled the kink took 728 and 444)."""
     pts = np.array([(x, 0.1, 0.0) for x in (0.5, 0.7, 0.9, 0.99)])
     steps = _spy_steps(lambda: orbit_batch(TORUS, pts, np.array([1.0]), 1e-9))
-    attempted = sum(h.size for h, _ in steps)
+    attempted = sum(acc.size for _, acc in steps)
     rejected = sum(int(np.sum(~acc)) for _, acc in steps)
     assert attempted <= 73 and rejected <= 12, (attempted, rejected)
+
+
+def test_steps_at_the_minimum_size_are_taken_whatever_their_error():
+    """A step of at most 1e-13 is accepted even where its error test fails,
+    so a tolerance no step can meet still ends: one row to t = 5e-14 at
+    tol 1e-300 takes one step."""
+    calls = []
+    real = integrate._rk_step
+
+    def spy(field, y, f0, h):
+        res = real(field, y, f0, h)
+        calls.append((np.abs(h), res[2]))
+        return res
+
+    x = np.array([[0.5, 0.1, 0.0]])
+    with mock.patch.object(integrate, "_rk_step", spy):
+        got = orbit_batch(CAT, x, np.array([5e-14]), 1e-300)
+    assert len(calls) == 1
+    h, err = calls[0]
+    assert h[0] == 5e-14 and err[0] > 1e-300 * h[0]
+    assert np.allclose(got[0, 0], x[0], atol=1e-13)
 
 
 def test_first_crossing_at_base():
