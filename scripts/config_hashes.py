@@ -1,32 +1,63 @@
-"""Run shipped configs and print the SHA-256 of every output file.
+"""Run shipped configs and demos and print the SHA-256 of what they write.
 
 Usage::
 
     python scripts/config_hashes.py [NAME ...] [--workers N] [--out DIR]
                                     [--repo DIR]
 
-NAME is a config's file stem (``tube_cat``) and defaults to every
-``configs/*.json``. Each config runs through ``rflowlab.cli.run`` at the
+NAME is a config's file stem (``tube_cat``) or a demo's file stem
+(``03_local_rsets``); with no NAME, every ``configs/*.json`` and every
+``demos/*.py`` runs. Each config runs through ``rflowlab.cli.run`` at the
 given worker count, with its output directory moved to ``DIR/<config>``
-(a fresh temporary directory by default). The output is one sorted
+(a fresh temporary directory by default), and lists one
 ``<config>/<file> <sha256>`` line per file; ``manifest.json`` is left out
-because it records wall time. ``--repo`` names the checkout whose ``src``
-and ``configs`` are used (default: the one holding this script), so two
-commits compare with one ``diff`` of two listings. The wall time of each
-config's ``run`` call goes to standard error as one ``<config> <seconds>``
+because it records wall time. Each demo runs in a fresh interpreter, in
+an empty working directory under ``DIR``, and lists one
+``demos/<stem>/stdout <sha256>`` line for its standard output. The
+listing is sorted. ``--repo`` names the checkout whose ``src``,
+``configs`` and ``demos`` are used (default: the one holding this
+script), so two commits compare with one ``diff`` of two listings. The
+wall time of each run goes to standard error as one ``<name> <seconds>``
 line, so the listing itself stays the same from run to run.
 
-The exit status is 1 when any config does not exit 0.
+The exit status is 1 when any config or demo does not exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run_config(repo, name, outdir, workers):
+    from rflowlab.cli import load_config, run
+
+    config = load_config(repo / "configs" / f"{name}.json",
+                         {"output_dir": str(outdir), "workers": workers})
+    code = run(config)
+    lines = [f"{name}/{path.relative_to(outdir)} {_sha256(path.read_bytes())}"
+             for path in sorted(outdir.rglob("*"))
+             if path.is_file() and path.name != "manifest.json"]
+    return code, lines
+
+
+def _run_demo(repo, name, workdir):
+    workdir.mkdir(parents=True)
+    done = subprocess.run([sys.executable, str(repo / "demos" / f"{name}.py")],
+                          cwd=workdir, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(repo / "src")})
+    sys.stderr.write(done.stderr.decode(errors="replace"))
+    return done.returncode, [f"demos/{name}/stdout {_sha256(done.stdout)}"]
 
 
 def main(argv=None) -> int:
@@ -40,26 +71,22 @@ def main(argv=None) -> int:
 
     repo = args.repo.resolve()
     sys.path.insert(0, str(repo / "src"))
-    from rflowlab.cli import load_config, run
-
-    names = args.names or sorted(p.stem for p in (repo / "configs").glob("*.json"))
+    configs = sorted(p.stem for p in (repo / "configs").glob("*.json"))
+    demos = sorted(p.stem for p in (repo / "demos").glob("*.py"))
+    names = args.names or configs + demos
     out = args.out or Path(tempfile.mkdtemp(prefix="config_hashes_"))
     lines, failed = [], []
     for name in names:
-        outdir = out / name
-        config = load_config(repo / "configs" / f"{name}.json",
-                             {"output_dir": str(outdir),
-                              "workers": args.workers})
         start = time.perf_counter()
-        code = run(config)
+        if name in demos:
+            code, listed = _run_demo(repo, name, out / "demos" / name)
+        else:
+            code, listed = _run_config(repo, name, out / name, args.workers)
         print(f"{name} {time.perf_counter() - start:.2f}", file=sys.stderr,
               flush=True)
         if code != 0:
             failed.append(f"{name} exited {code}")
-        for path in sorted(outdir.rglob("*")):
-            if path.is_file() and path.name != "manifest.json":
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                lines.append(f"{name}/{path.relative_to(outdir)} {digest}")
+        lines += listed
     print("\n".join(sorted(lines)))
     for msg in failed:
         print(f"config_hashes: {msg}", file=sys.stderr)

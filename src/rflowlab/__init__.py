@@ -27,21 +27,11 @@ from .flows import (
     LAMBDA_MINUS,
     LAMBDA_PLUS,
     RescaleConstants,
-    estimate_lipschitz,
     eval_field,
     field_norm,
     get_flow,
-    reversed_flow,
     sample_points,
 )
-from .geometry import (
-    ModelManifold,
-    NormalFrame,
-    Point,
-    distance,
-    exp_map,
-    normal_frame,
-    wrap,
-)
+from .geometry import ModelManifold, NormalFrame, Point
 
 __version__ = "0.1.0"

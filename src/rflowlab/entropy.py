@@ -310,16 +310,6 @@ def _validate_step(max_norm: float, eps: float, step: float) -> int:
     return max(1, int(math.floor(bound / step)))
 
 
-def separated_count(f: FlowSpec, samples, t: float, eps: float,
-                    orbit_step: float, tol: float = 1e-7) -> int:
-    """Greedy maximal (t, eps)-separated subset size among the samples."""
-    coords = np.stack([p.coords for p in samples])
-    cache = _OrbitCache(f, coords, max(t, orbit_step), orbit_step,
-                        extra_times=[t], tol=tol)
-    stride = _validate_step(_max_field_norm(cache, f), eps, orbit_step)
-    return _separated_counts(cache, eps, [cache.index_upto(t)], stride)[0]
-
-
 def entropy_estimate(f: FlowSpec, sample_spec: dict, eps_list, t_list,
                      orbit_step: float, tol: float = 1e-7,
                      fit_window=None) -> EntropyReport:

@@ -29,7 +29,7 @@ the catalog uses the squared top eigenvalue, valid for time steps >= 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,7 +64,6 @@ class FlowSpec:
     rescale: RescaleConstants
     analytic_holonomy: Optional[Callable] = None   # (base, t, u) -> image coords
     known_entropy: Optional[float] = None
-    smooth_sample_filter: Optional[Callable] = None  # mask for derivative sampling
     # vectorized (..., d) -> (...) whose zeros are the surfaces where the
     # field has a kink; the integrator ends steps just past them. Its sign
     # must change at each kink an orbit crosses. None: the field is smooth.
@@ -165,12 +164,6 @@ def _build_solid_torus() -> FlowSpec:
         coords = np.asarray(coords, dtype=float)
         return _rho(coords[..., 0]) < 1e-12
 
-    def smooth_filter(coords):
-        # keep derivative stencils away from the kinks of rho at x in {-1, 0, 1}
-        xw = _reduce_x(np.asarray(coords, dtype=float)[..., 0])
-        dist = np.min(np.abs(xw[..., None] - np.array([-1.0, 0.0, 1.0])), axis=-1)
-        return dist > 1e-2
-
     return FlowSpec(
         name="solid_torus",
         manifold=solid_torus_manifold(),
@@ -180,7 +173,6 @@ def _build_solid_torus() -> FlowSpec:
         rescale=RescaleConstants(L=math.e, beta0=0.25),
         analytic_holonomy=_disk_isometric_holonomy,
         known_entropy=0.0,
-        smooth_sample_filter=smooth_filter,
         switch=_solid_torus_switch,
     )
 
@@ -239,23 +231,6 @@ def get_flow(name: str) -> FlowSpec:
     return _CATALOG[name]
 
 
-def reversed_flow(f: FlowSpec) -> FlowSpec:
-    """The flow of -X on the same manifold (stable and unstable sets swap)."""
-    base_field = f.field
-    base_hol = f.analytic_holonomy
-
-    def neg_field(coords):
-        return -base_field(coords)
-
-    rev_hol = None
-    if base_hol is not None:
-        def rev_hol(base, t, u):
-            return base_hol(base, -t, u)
-
-    return replace(f, name=f.name + "_reversed", field=neg_field,
-                   analytic_holonomy=rev_hol)
-
-
 # ----------------------------------------------------------------- operations
 
 def eval_field(f: FlowSpec, x: Point):
@@ -265,40 +240,6 @@ def eval_field(f: FlowSpec, x: Point):
 
 def field_norm(f: FlowSpec, x: Point) -> float:
     return float(np.linalg.norm(eval_field(f, x)))
-
-
-def estimate_lipschitz(f: FlowSpec, samples: int = 1000, step: float = 1e-5,
-                       seed: int = 0) -> RescaleConstants:
-    """Estimate rescale constants from the field's spatial derivative.
-
-    Central finite differences at random regular points give sup ||DX||;
-    the returned bound is L = exp(sup ||DX||) with beta0 = 0.25 / L. For a
-    glued manifold whose identification is not an isometry this can
-    undershoot the true orbit-growth bound (the chart derivative never sees
-    the jump at the gluing); the catalog's own ``rescale`` constants are the
-    authoritative values for admissibility checks.
-    """
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
-    pts = np.stack([p.coords for p in sample_points(f, samples, seed=seed)])
-    keep = ~f.singular_predicate(pts)
-    if f.smooth_sample_filter is not None:
-        keep &= f.smooth_sample_filter(pts)
-    pts = pts[keep]
-    d = f.manifold.chart_dims
-    sup = 0.0
-    for ax in range(d):
-        e = np.zeros(d)
-        e[ax] = step
-        jac_col = (f.field(pts + e) - f.field(pts - e)) / (2.0 * step)  # (n, d)
-        # column-wise assembly: accumulate into per-sample Jacobians
-        if ax == 0:
-            jacs = np.zeros(pts.shape[:1] + (d, d))
-        jacs[:, :, ax] = jac_col
-    if len(pts):
-        sup = float(np.max(np.linalg.norm(jacs, ord=2, axis=(1, 2))))
-    L = math.exp(sup)
-    return RescaleConstants(L=L, beta0=0.25 / L)
 
 
 def sample_points(f: FlowSpec, n: int, seed: int = 0, x_range=None,

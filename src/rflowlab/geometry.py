@@ -317,20 +317,3 @@ class ModelManifold:
         raw = frame.base.coords + v @ frame.axes
         return self.wrap(raw)
 
-
-# Spec-level operation surface -------------------------------------------------
-
-def wrap(m: ModelManifold, raw) -> Point:
-    return m.wrap(raw)
-
-
-def distance(m: ModelManifold, p: Point, q: Point) -> float:
-    return m.distance(p, q)
-
-
-def normal_frame(m: ModelManifold, x: Point, field_dir, seed_axes=None) -> NormalFrame:
-    return m.normal_frame(x, field_dir, seed_axes=seed_axes)
-
-
-def exp_map(m: ModelManifold, frame: NormalFrame, v) -> Point:
-    return m.exp(frame, v)

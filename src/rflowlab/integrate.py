@@ -46,6 +46,7 @@ from .geometry import Point, _readonly
 DEFAULT_TOL = 1e-9
 T_MAX = 200.0           # |t| bound of flow_map and first_crossing windows
 MAX_STEPS = 200_000     # step budget of each orbit_batch row; Timeout past it
+EVENT_TOL = 1e-10       # |g| a located section crossing must meet
 # How far past a switching zero a step may end, in tolerances. The stages a
 # step evaluates at its end lie beyond the kink, which puts about d / 60 per
 # unit step into the error estimate of a step that ends d past it (per unit
@@ -367,7 +368,6 @@ def _fill_samples(out, rows, abst, s, hh, hs, j, k, y, y_new, stages):
 
 
 def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,
-                   event_tol: float = 1e-10,
                    radius_slack: float = 1.0) -> CrossingEvent:
     """First crossing of the target section plane inside a time window.
 
@@ -375,12 +375,12 @@ def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,
     direction at the target base. The orbit is carried exactly to the
     window start, and g is scanned over dense-output states on a 0.01-spaced
     grid of the window in ascending time. The scan only brackets: the first
-    grid point with |g| <= event_tol, or the ends of the first sign change,
+    grid point with |g| <= EVENT_TOL, or the ends of the first sign change,
     are evaluated again on the exact flow (landed from the window start, a
     bracket's far end from its near end) until the first flagged point or
     bracket holds on exact values, and a bracketed secant (Illinois)
     polishes the root by exact re-integration from the bracket's first
-    end. The result has |g| <= event_tol, or NoCrossing is raised. A hit
+    end. The result has |g| <= EVENT_TOL, or NoCrossing is raised. A hit
     farther than radius_slack times the section radius from the base raises
     LeftTube; that decision is made on the exact hit.
     """
@@ -409,7 +409,7 @@ def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,
     exact = np.zeros(n_grid, dtype=bool)
     exact[0] = True
     while True:
-        hits = np.abs(gvals) <= event_tol
+        hits = np.abs(gvals) <= EVENT_TOL
         changes = np.zeros(n_grid, dtype=bool)
         changes[1:] = (gvals[1:] > 0) != (gvals[:-1] > 0)
         first = np.flatnonzero(hits | changes)
@@ -453,7 +453,7 @@ def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,
             if not (min(a, b) <= mid <= max(a, b)):
                 mid = 0.5 * (a + b)
             gm, d_m, w_m = g_exact(mid)
-            if abs(gm) <= event_tol:
+            if abs(gm) <= EVENT_TOL:
                 s_hit, g_hit, w_hit, disp = mid, gm, w_m, d_m
                 break
             if (gm > 0) == (ga > 0):
@@ -469,9 +469,9 @@ def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,
         if s_hit is None:
             s_hit = 0.5 * (a + b)
             g_hit, disp, w_hit = g_exact(s_hit)
-            if abs(g_hit) > event_tol:
+            if abs(g_hit) > EVENT_TOL:
                 raise NoCrossing(f"{f.name}: crossing residual {g_hit:.3g} near "
-                                 f"t={s_hit:.6g} above event_tol {event_tol:.3g}")
+                                 f"t={s_hit:.6g} above EVENT_TOL {EVENT_TOL:.3g}")
 
     offset_vec = disp - g_hit * nhat
     u = target.frame.axes @ offset_vec

@@ -48,7 +48,6 @@ CELL_OUTSIDE_SECTION = 1
 CELL_OUT_OF_MANIFOLD = 2
 CELL_LEFT_TUBE = 3
 CELL_NO_CROSSING = 4
-CELL_TIMEOUT = 5
 
 ERROR_NAMES = {
     CELL_OK: "ok",
@@ -56,7 +55,6 @@ ERROR_NAMES = {
     CELL_OUT_OF_MANIFOLD: "out_of_manifold",
     CELL_LEFT_TUBE: "left_tube",
     CELL_NO_CROSSING: "no_crossing",
-    CELL_TIMEOUT: "timeout",
 }
 
 # A cell whose holonomy image lies farther than this many section radii
@@ -104,13 +102,6 @@ class RSetGrid:
     def cell_coords(self):
         offs = _cell_offsets(self.resolution, self.cellwidth)
         return np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1)
-
-    def membership_at(self, n: int):
-        """Members certified through horizon n <= horizon_certified."""
-        if n > self.horizon_certified:
-            raise ValueError(f"horizon {n} beyond certified {self.horizon_certified}")
-        return (self.fail_step > n) & (self.error_state != CELL_OUTSIDE_SECTION) \
-            & (self.error_state != CELL_OUT_OF_MANIFOLD)
 
     def counts(self):
         states, freq = np.unique(self.error_state, return_counts=True)

@@ -90,12 +90,6 @@ def make_section(f: FlowSpec, x: Point, beta: float,
     return CrossSection(frame=frame, beta=beta, base_field_norm=n)
 
 
-def section_coords(f: FlowSpec, section: CrossSection, p: Point) -> np.ndarray:
-    """Coefficients of p in the section frame (deck-minimal displacement)."""
-    disp = f.manifold.displacement(section.base.coords, p.coords)
-    return section.frame.axes @ disp
-
-
 def section_point(f: FlowSpec, section: CrossSection, u) -> Point:
     """The section point with frame coefficients u."""
     return f.manifold.exp(section.frame, u)

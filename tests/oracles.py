@@ -1,0 +1,58 @@
+"""Reference computations that tests check the library against.
+
+None of these is reached by a command, demo or acceptance criterion, so
+they live beside the tests rather than in the package.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+
+import rflowlab.entropy as ent
+
+
+def reversed_flow(f):
+    """The flow of -X on the same manifold (stable and unstable sets swap)."""
+    base_field = f.field
+    base_hol = f.analytic_holonomy
+
+    def neg_field(coords):
+        return -base_field(coords)
+
+    rev_hol = None
+    if base_hol is not None:
+        def rev_hol(base, t, u):
+            return base_hol(base, -t, u)
+
+    return replace(f, name=f.name + "_reversed", field=neg_field,
+                   analytic_holonomy=rev_hol)
+
+
+def field_derivative_bound(f, points, step=1e-5):
+    """sup ||DX|| over ``points`` (n, d), by central differences of the
+    catalog field. A stencil across a kink of a Lipschitz field reads a
+    difference quotient, which never exceeds the field's Lipschitz bound,
+    so no point needs to be kept away from the kinks."""
+    d = f.manifold.chart_dims
+    jacs = np.zeros(points.shape[:1] + (d, d))
+    for ax in range(d):
+        e = np.zeros(d)
+        e[ax] = step
+        jacs[:, :, ax] = (f.field(points + e) - f.field(points - e)) / (2 * step)
+    return float(np.max(np.linalg.norm(jacs, ord=2, axis=(1, 2))))
+
+
+def section_coords(f, section, p):
+    """Coefficients of p in the section frame (deck-minimal displacement)."""
+    disp = f.manifold.displacement(section.base.coords, p.coords)
+    return section.frame.axes @ disp
+
+
+def separated_count(f, samples, t, eps, orbit_step, tol=1e-7):
+    """Greedy maximal (t, eps)-separated subset size among the samples: the
+    single-horizon case of ``entropy_estimate``'s table."""
+    coords = np.stack([p.coords for p in samples])
+    cache = ent._OrbitCache(f, coords, max(t, orbit_step), orbit_step,
+                            extra_times=[t], tol=tol)
+    stride = ent._validate_step(ent._max_field_norm(cache, f), eps, orbit_step)
+    return ent._separated_counts(cache, eps, [cache.index_upto(t)], stride)[0]

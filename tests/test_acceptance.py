@@ -8,6 +8,7 @@ worker runs are shared across tests through a session fixture.
 
 import json
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -77,13 +78,13 @@ def test_criterion_03_solid_torus_trivial_sets(runs):
     entries = summary["points"]
     assert len(entries) == 40  # 20 points x 2 directions
     assert summary["all_center_only"]
-    undecided = sum(e["error_tally"].get("timeout", 0) for e in entries)
+    truncations = Counter(str(e["truncation_reason"]) for e in entries)
     for e in entries:
         assert e["members"] == 1, e
     assert info["seconds"] < 300.0
     _report(3, "solid-torus-trivial-sets",
-            f"40 grids center-only, timeout cells={undecided}, "
-            f"{info['seconds']:.0f}s")
+            f"40 grids center-only, truncation reasons "
+            f"{dict(sorted(truncations.items()))}, {info['seconds']:.0f}s")
 
 
 def test_criterion_04_expansiveness_characterization(runs):

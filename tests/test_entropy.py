@@ -9,7 +9,8 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import rflowlab.entropy as ent
-from rflowlab.entropy import entropy_estimate, separated_count
+from oracles import separated_count
+from rflowlab.entropy import entropy_estimate
 from rflowlab.errors import Saturated, StepTooCoarse
 from rflowlab.flows import LAMBDA_PLUS, get_flow, sample_points
 

@@ -5,14 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from rflowlab.flows import (
-    estimate_lipschitz,
-    eval_field,
-    field_norm,
-    get_flow,
-    reversed_flow,
-    sample_points,
-)
+from oracles import field_derivative_bound, reversed_flow
+from rflowlab.flows import (LAMBDA_PLUS, eval_field, field_norm, get_flow,
+                            sample_points)
 
 TORUS = get_flow("solid_torus")
 CAT = get_flow("cat_suspension")
@@ -21,6 +16,10 @@ RIGID = get_flow("rigid_rotation")
 
 def _pt(flow, coords):
     return flow.manifold.wrap(coords)
+
+
+def _sample_coords(flow, n, seed):
+    return np.stack([p.coords for p in sample_points(flow, n, seed=seed)])
 
 
 def test_solid_torus_field_values():
@@ -53,7 +52,7 @@ def test_field_continuity_lipschitz():
     """||X(p) - X(q)|| <= Lip * d(p, q) on nearby random pairs."""
     rng = np.random.default_rng(9)
     for flow in (TORUS, CAT, RIGID):
-        lip = math.log(estimate_lipschitz(flow, samples=500, seed=1).L)
+        lip = field_derivative_bound(flow, _sample_coords(flow, 500, seed=1))
         pts = np.stack([p.coords for p in sample_points(flow, 10_000, seed=5)])
         delta = rng.normal(size=pts.shape) * 1e-3
         if flow.manifold.disk_axes is not None:
@@ -75,22 +74,20 @@ def test_eval_field_pure():
 
 
 def test_lipschitz_estimates():
-    assert estimate_lipschitz(RIGID, samples=300, seed=0).L == pytest.approx(1.0, abs=1e-9)
-    assert estimate_lipschitz(CAT, samples=300, seed=0).L == pytest.approx(1.0, abs=1e-9)
-    est = estimate_lipschitz(TORUS, samples=1000, seed=0)
-    assert est.L == pytest.approx(math.e, rel=1e-6)
-    assert est.beta0 == pytest.approx(0.25 / math.e, rel=1e-6)
+    """The catalog's L is exp(sup ||DX||) where the flow's growth is in its
+    chart derivative; the cat suspension's growth is all in the gluing jump,
+    which the chart derivative never sees, so its L is the analytic bound."""
+    for flow, n in ((RIGID, 300), (TORUS, 1000)):
+        sup = field_derivative_bound(flow, _sample_coords(flow, n, seed=0))
+        assert math.exp(sup) == pytest.approx(flow.rescale.L, rel=1e-6)
+    assert field_derivative_bound(CAT, _sample_coords(CAT, 300, seed=0)) == 0.0
+    assert CAT.rescale.L == pytest.approx(LAMBDA_PLUS ** 2)
 
 
 def test_rescale_invariants():
     for flow in (TORUS, CAT, RIGID):
         assert flow.rescale.L >= 1.0
         assert flow.rescale.beta0 > 0.0
-
-
-def test_estimate_requires_samples():
-    with pytest.raises(ValueError):
-        estimate_lipschitz(TORUS, samples=10)
 
 
 def test_reversed_flow_negates_field():

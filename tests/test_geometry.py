@@ -7,25 +7,25 @@ from hypothesis import strategies as st
 
 from rflowlab.errors import DegenerateField, OutOfManifold
 from rflowlab.flows import CAT_MATRIX, cat_suspension_manifold, solid_torus_manifold
-from rflowlab.geometry import Gluing, distance, exp_map, normal_frame, wrap
+from rflowlab.geometry import Gluing
 
 TORUS = solid_torus_manifold()
 CAT = cat_suspension_manifold()
 
 
 def test_wrap_periodic_x():
-    p = wrap(TORUS, (2.5, 0.0, 0.0))
+    p = TORUS.wrap((2.5, 0.0, 0.0))
     assert p.coords[0] == pytest.approx(-1.5, abs=1e-12)
 
 
 def test_wrap_interior_fixed_point():
-    p = wrap(TORUS, (0.3, 0.2, 0.1))
+    p = TORUS.wrap((0.3, 0.2, 0.1))
     assert np.allclose(p.coords, (0.3, 0.2, 0.1), atol=1e-15)
 
 
 def test_wrap_applies_gluing_matrix():
     v = np.array([0.3, 0.4])
-    p = wrap(CAT, (v[0], v[1], 1.0))
+    p = CAT.wrap((v[0], v[1], 1.0))
     expect = CAT_MATRIX @ v % 1.0
     assert np.allclose(p.coords[:2], expect, atol=1e-12)
     assert p.coords[2] == pytest.approx(0.0, abs=1e-12)
@@ -33,7 +33,7 @@ def test_wrap_applies_gluing_matrix():
 
 def test_wrap_inverse_gluing_below():
     v = np.array([0.3, 0.4])
-    p = wrap(CAT, (v[0], v[1], -0.25))
+    p = CAT.wrap((v[0], v[1], -0.25))
     inv = np.linalg.inv(CAT_MATRIX)
     expect = (inv @ v) % 1.0
     assert np.allclose(p.coords[:2], expect, atol=1e-12)
@@ -80,33 +80,33 @@ def test_glue_powers_belong_to_their_gluing():
 
 def test_out_of_manifold_on_disk_violation():
     with pytest.raises(OutOfManifold):
-        wrap(TORUS, (0.0, 0.9, 0.9))
+        TORUS.wrap((0.0, 0.9, 0.9))
 
 
 def test_distance_wraparound():
-    p = wrap(TORUS, (-1.9, 0.0, 0.0))
-    q = wrap(TORUS, (1.9, 0.0, 0.0))
-    assert distance(TORUS, p, q) == pytest.approx(0.2, abs=1e-12)
+    p = TORUS.wrap((-1.9, 0.0, 0.0))
+    q = TORUS.wrap((1.9, 0.0, 0.0))
+    assert TORUS.distance(p, q) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_distance_identity():
-    p = wrap(CAT, (0.3, 0.7, 0.2))
-    assert distance(CAT, p, p) == 0.0
+    p = CAT.wrap((0.3, 0.7, 0.2))
+    assert CAT.distance(p, p) == 0.0
 
 
 def test_distance_torus_translates():
-    p = wrap(CAT, (0.1, 0.1, 0.0))
-    q = wrap(CAT, (0.9, 0.9, 0.0))
-    assert distance(CAT, p, q) == pytest.approx(np.hypot(0.2, 0.2), abs=1e-12)
+    p = CAT.wrap((0.1, 0.1, 0.0))
+    q = CAT.wrap((0.9, 0.9, 0.0))
+    assert CAT.distance(p, q) == pytest.approx(np.hypot(0.2, 0.2), abs=1e-12)
 
 
 def test_distance_through_gluing_is_small():
     # points just on either side of the identified fiber
     v = np.array([0.3, 0.4])
-    p = wrap(CAT, (v[0], v[1], 0.999))
+    p = CAT.wrap((v[0], v[1], 0.999))
     img = CAT_MATRIX @ v % 1.0
-    q = wrap(CAT, (img[0], img[1], 0.001))
-    assert distance(CAT, p, q) == pytest.approx(0.002, abs=1e-9)
+    q = CAT.wrap((img[0], img[1], 0.001))
+    assert CAT.distance(p, q) == pytest.approx(0.002, abs=1e-9)
 
 
 def test_distance_symmetry_exact():
@@ -117,7 +117,7 @@ def test_distance_symmetry_exact():
             if m is TORUS:
                 raw[:, 1:] *= 0.3
             p, q = m.wrap(raw[0]), m.wrap(raw[1])
-            assert distance(m, p, q) == distance(m, q, p)
+            assert m.distance(p, q) == m.distance(q, p)
 
 
 def test_triangle_inequality_sampled():
@@ -146,23 +146,23 @@ def test_triangle_inequality_sampled():
 
 
 def test_normal_frame_canonical_torus():
-    x = wrap(TORUS, (0.5, 0.0, 0.0))
-    fr = normal_frame(TORUS, x, (1.0, 0.0, 0.0))
+    x = TORUS.wrap((0.5, 0.0, 0.0))
+    fr = TORUS.normal_frame(x, (1.0, 0.0, 0.0))
     assert np.allclose(fr.axes, [[0, 1, 0], [0, 0, 1]], atol=1e-12)
 
 
 def test_normal_frame_canonical_cat():
-    x = wrap(CAT, (0.2, 0.3, 0.4))
-    fr = normal_frame(CAT, x, (0.0, 0.0, 1.0))
+    x = CAT.wrap((0.2, 0.3, 0.4))
+    fr = CAT.normal_frame(x, (0.0, 0.0, 1.0))
     assert np.allclose(fr.axes, [[1, 0, 0], [0, 1, 0]], atol=1e-12)
 
 
 def test_normal_frame_orthonormal_random():
     rng = np.random.default_rng(3)
-    x = wrap(CAT, (0.5, 0.5, 0.5))
+    x = CAT.wrap((0.5, 0.5, 0.5))
     for _ in range(200):
         d = rng.normal(size=3)
-        fr = normal_frame(CAT, x, d)
+        fr = CAT.normal_frame(x, d)
         dhat = d / np.linalg.norm(d)
         gram = fr.axes @ fr.axes.T
         assert np.allclose(gram, np.eye(2), atol=1e-10)
@@ -170,41 +170,41 @@ def test_normal_frame_orthonormal_random():
 
 
 def test_normal_frame_degenerate():
-    x = wrap(TORUS, (0.5, 0.0, 0.0))
+    x = TORUS.wrap((0.5, 0.0, 0.0))
     with pytest.raises(DegenerateField):
-        normal_frame(TORUS, x, (0.0, 0.0, 1e-13))
+        TORUS.normal_frame(x, (0.0, 0.0, 1e-13))
 
 
 def test_exp_zero_is_base():
-    x = wrap(TORUS, (0.5, 0.1, -0.2))
-    fr = normal_frame(TORUS, x, (1.0, 0.0, 0.0))
-    p = exp_map(TORUS, fr, (0.0, 0.0))
+    x = TORUS.wrap((0.5, 0.1, -0.2))
+    fr = TORUS.normal_frame(x, (1.0, 0.0, 0.0))
+    p = TORUS.exp(fr, (0.0, 0.0))
     assert np.allclose(p.coords, x.coords, atol=1e-15)
 
 
 def test_exp_flat_translation():
-    x = wrap(TORUS, (0.5, 0.0, 0.0))
-    fr = normal_frame(TORUS, x, (1.0, 0.0, 0.0))
-    p = exp_map(TORUS, fr, (0.3, 0.0))
+    x = TORUS.wrap((0.5, 0.0, 0.0))
+    fr = TORUS.normal_frame(x, (1.0, 0.0, 0.0))
+    p = TORUS.exp(fr, (0.3, 0.0))
     assert np.allclose(p.coords, (0.5, 0.3, 0.0), atol=1e-12)
 
 
 def test_exp_local_isometry():
     rng = np.random.default_rng(5)
-    x = wrap(CAT, (0.4, 0.6, 0.3))
-    fr = normal_frame(CAT, x, (0.0, 0.0, 1.0))
+    x = CAT.wrap((0.4, 0.6, 0.3))
+    fr = CAT.normal_frame(x, (0.0, 0.0, 1.0))
     for _ in range(500):
         v = rng.uniform(-1, 1, size=2)
         v *= rng.uniform(0, 0.2) / max(np.linalg.norm(v), 1e-12)
-        p = exp_map(CAT, fr, v)
-        assert abs(distance(CAT, x, p) - np.linalg.norm(v)) <= 1e-9
+        p = CAT.exp(fr, v)
+        assert abs(CAT.distance(x, p) - np.linalg.norm(v)) <= 1e-9
 
 
 def test_exp_propagates_out_of_manifold():
-    x = wrap(TORUS, (0.5, 0.9, 0.0))
-    fr = normal_frame(TORUS, x, (1.0, 0.0, 0.0))
+    x = TORUS.wrap((0.5, 0.9, 0.0))
+    fr = TORUS.normal_frame(x, (1.0, 0.0, 0.0))
     with pytest.raises(OutOfManifold):
-        exp_map(TORUS, fr, (0.5, 0.0))
+        TORUS.exp(fr, (0.5, 0.0))
 
 
 # ------------------------------------------------ deck search: exact oracles

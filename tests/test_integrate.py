@@ -274,6 +274,16 @@ def test_solid_torus_matches_closed_form_across_kinks(sign, xs, disk, tol, t,
     assert np.all(_torus_error_ratio(pts, times, tol) <= 1.0)
 
 
+@pytest.mark.xfail(strict=True, reason="DP5 stages of a long step overshoot "
+                   "the kink of rho at x = 0 on the decaying side, and the "
+                   "error estimate misses it (1.45 tol e^t here)")
+def test_solid_torus_decaying_side_meets_tolerance():
+    """A start in the domain of the closed-form test above, toward the
+    singular disk, where the integrator misses its tolerance."""
+    pts = np.array([[-6e-6, 0.375, 0.0]])
+    assert np.all(_torus_error_ratio(pts, np.array([2.0]), 1e-7) <= 1.0)
+
+
 TORUS_KINK_ROW = 39   # x0 = 0.794, crosses the kink at x = 1 near t = 0.23
 
 
@@ -386,13 +396,14 @@ def test_first_crossing_no_crossing():
         first_crossing(RIGID, y, sec, window=(0.0, 0.5))
 
 
-def test_first_crossing_residual_meets_event_tol_or_raises():
-    """An event_tol below the float resolution of g cannot be met: raise."""
+def test_first_crossing_residual_meets_event_tol_or_raises(monkeypatch):
+    """An EVENT_TOL below the float resolution of g cannot be met: raise."""
     base = _pt(CAT, (0.7, 0.5, 0.0))
     sec = make_section(CAT, base, 0.25)
     y = _pt(CAT, (0.2, 0.3, 0.5))
+    monkeypatch.setattr(integrate, "EVENT_TOL", 1e-20)
     try:
-        ev = first_crossing(CAT, y, sec, window=(0.0, 1.0), event_tol=1e-20)
+        ev = first_crossing(CAT, y, sec, window=(0.0, 1.0))
     except NoCrossing:
         return
     assert abs(ev.residual) <= 1e-20

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reversed_flow
 from rflowlab import integrate, rsets
 from rflowlab.errors import BetaTooLarge, BudgetExhausted, GammaTooLarge, SingularBase
-from rflowlab.flows import CAT_MATRIX, LAMBDA_PLUS, get_flow, reversed_flow, sample_points
+from rflowlab.flows import CAT_MATRIX, LAMBDA_PLUS, get_flow, sample_points
 from rflowlab.rsets import (
     CELL_OUT_OF_MANIFOLD,
     CELL_OUTSIDE_SECTION,
@@ -125,15 +126,49 @@ def test_vacuous_tolerance_membership_is_existence():
     assert np.all(run.fail_step == 4) and np.all(run.error_state == 0)
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize("flow", [TORUS, CAT, RIGID], ids=lambda f: f.name)
+def test_carried_grid_rows_land_on_the_target_plane(flow, reverse):
+    """Each row a holonomy step carries ends exactly on the plane through
+    the carried base, one to four steps either way, so no row is ever sent
+    to the straggler branch of ``_propagate_points``: the section is normal
+    to an axis along which every catalog field moves all its points alike."""
+    f = reversed_flow(flow) if reverse else flow
+    rng = np.random.default_rng(17)
+    kw = {"x_range": (0.1, 1.9)} if flow.manifold.disk_axes else {}
+    for x in sample_points(flow, 6, seed=18, **kw):
+        section = make_section(f, x, 0.1)
+        r = section.radius * np.sqrt(rng.uniform(size=50))
+        th = rng.uniform(0.0, 2.0 * np.pi, size=50)
+        cells = np.vstack([np.zeros(2), np.stack([r * np.cos(th),
+                                                  r * np.sin(th)], axis=1)])
+        for sign in (1, -1):
+            # infinite tolerances keep every row alive through all four steps
+            with mock.patch.object(rsets, "first_crossing",
+                                   side_effect=AssertionError("straggler")):
+                run = _propagate_points(f, section, 1.0, cells, sign, 4,
+                                        np.inf, np.inf, record_tracks=True)
+            assert len(run.tracks) == run.horizon >= 1
+            for alive, Y in run.tracks:
+                assert alive.size == cells.shape[0]
+                nhat = f.field(Y[0]) / np.linalg.norm(f.field(Y[0]))
+                resid = f.manifold.displacement(Y[0], Y) @ nhat
+                assert np.all(resid == 0.0)
+
+
 def test_membership_monotone_in_horizon():
+    """Members through horizon n are the cells whose first failed step
+    lies past n (cells off the section or the manifold fail at step 0);
+    at the certified horizon they are the grid's members."""
     x = _pt(CAT, (0.31, 0.62, 0.47))
     g = compute_rset(CAT, x, 0.1, 1.0, 6, 61, "stable")
     prev = None
     for n in range(1, g.horizon_certified + 1):
-        cur = g.membership_at(n)
+        cur = g.fail_step > n
         if prev is not None:
             assert np.all(cur <= prev)  # member at n implies member at n-1
         prev = cur
+    assert np.array_equal(prev, g.membership)
 
 
 def test_membership_scale_invariant_in_beta():

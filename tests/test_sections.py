@@ -8,15 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import section_coords
 from rflowlab.errors import BetaTooLarge, LeftTube, SingularBase, Timeout
 from rflowlab.flows import CAT_MATRIX, LAMBDA_PLUS, get_flow, sample_points
-from rflowlab.sections import (
-    holonomy,
-    holonomy_orbit,
-    make_section,
-    section_coords,
-    section_point,
-)
+from rflowlab.sections import holonomy, holonomy_orbit, make_section, section_point
 
 TORUS = get_flow("solid_torus")
 CAT = get_flow("cat_suspension")
