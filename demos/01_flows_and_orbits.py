@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from rflowlab import eval_field, field_norm, get_flow
+from rflowlab import field_norm, get_flow
 from rflowlab.integrate import flow_map, orbit
 
 for name in ("solid_torus", "cat_suspension", "rigid_rotation"):
@@ -56,6 +56,6 @@ seg = orbit(rigid, z, np.linspace(0.0, 4.0, 9))
 print("\nrigid rotation, (y, z) along one period:",
       {tuple(np.round(p.coords[1:], 12)) for p in seg.points})
 print("eval_field at the singular disk:",
-      eval_field(torus, torus.manifold.wrap((0.0, 0.1, 0.0))))
+      torus.field(torus.manifold.wrap((0.0, 0.1, 0.0)).coords))
 print("x(ln 2) from 0.5 =", flow_map(torus, torus.manifold.wrap((0.5, 0, 0)),
                                      math.log(2.0)).coords[0], "(exact: 1.0)")

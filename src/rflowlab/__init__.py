@@ -27,7 +27,6 @@ from .flows import (
     LAMBDA_MINUS,
     LAMBDA_PLUS,
     RescaleConstants,
-    eval_field,
     field_norm,
     get_flow,
     sample_points,

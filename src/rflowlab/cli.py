@@ -31,6 +31,7 @@ from . import __version__
 from .entropy import entropy_estimate
 from .errors import RFlowError
 from .flows import FLOW_NAMES, get_flow, sample_points
+from .integrate import T_MAX
 from .rsets import (
     check_expansivity,
     compute_rset,
@@ -194,6 +195,10 @@ def validate(config: ExperimentConfig):
         bad.append("holonomy needs t or a non-empty t_choices, not "
                    f"t={json.dumps(p['t'])}, "
                    f"t_choices={json.dumps(p['t_choices'])}")
+    if config.command == "holonomy":
+        bad += [f"{k}={json.dumps(p[k])} exceeds T_MAX={T_MAX}"
+                for k in ("t", "t_choices")
+                if p[k] is not None and np.any(np.asarray(p[k]) > T_MAX)]
     if config.command == "uef" and p["eta"] is None:
         bad.append("uef needs eta")
     return bad

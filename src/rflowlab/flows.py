@@ -233,13 +233,8 @@ def get_flow(name: str) -> FlowSpec:
 
 # ----------------------------------------------------------------- operations
 
-def eval_field(f: FlowSpec, x: Point):
-    """Field value at a canonical point, in chart coordinates."""
-    return f.field(x.coords)
-
-
 def field_norm(f: FlowSpec, x: Point) -> float:
-    return float(np.linalg.norm(eval_field(f, x)))
+    return float(np.linalg.norm(f.field(x.coords)))
 
 
 def sample_points(f: FlowSpec, n: int, seed: int = 0, x_range=None,

@@ -44,7 +44,7 @@ from .errors import LeftTube, NoCrossing, Timeout
 from .geometry import Point, _readonly
 
 DEFAULT_TOL = 1e-9
-T_MAX = 200.0           # |t| bound of flow_map and first_crossing windows
+T_MAX = 200.0           # |t| bound of flow_map, holonomy and crossing windows
 MAX_STEPS = 200_000     # step budget of each orbit_batch row; Timeout past it
 EVENT_TOL = 1e-10       # |g| a located section crossing must meet
 # How far past a switching zero a step may end, in tolerances. The stages a

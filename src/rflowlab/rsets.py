@@ -32,14 +32,14 @@ from .errors import (
     BetaTooLarge,
     BudgetExhausted,
     GammaTooLarge,
-    LeftTube,
-    NoCrossing,
     SingularBase,
     Timeout,
 )
 from .flows import FlowSpec, field_norm
 from .geometry import Point
-from .integrate import DEFAULT_TOL, first_crossing, orbit_batch
+from .integrate import DEFAULT_TOL, orbit_batch
+# unused here: perfbench/bench_trace.py patches it; ROADMAP item 1 drops it
+from .integrate import first_crossing  # noqa: F401
 from .sections import SINGULAR_NORM, CrossSection, make_section, section_point
 
 # per-cell error states
@@ -177,8 +177,7 @@ def _propagate_points(f: FlowSpec, section: CrossSection, t: float,
     """Holonomy steps of section points, row 0 the base, until each fails.
 
     Each row carries its step size from one horizon to the next, so a
-    row's step continues where its last horizon left it; a straggler,
-    re-located by ``first_crossing``, starts its next horizon afresh.
+    row's step continues where its last horizon left it.
     """
     m = f.manifold
     coords_u = np.asarray(coords_u, dtype=float)
@@ -229,41 +228,22 @@ def _propagate_points(f: FlowSpec, section: CrossSection, t: float,
         resid = disp @ nhat
         d = np.linalg.norm(disp, axis=-1)
 
-        resid_tol = max(1e-7 * (1.0 + abs(t)), 100.0 * tol)
-        # row 0 is the base: its residual is exactly zero, never a straggler
-        stragglers = np.flatnonzero(np.abs(resid) > resid_tol)
-        if stragglers.size:
-            tgt = make_section(f, Point(bx), beta)
-            steps[stragglers] = np.nan
-            for s_i in stragglers:
-                try:
-                    ev = first_crossing(f, Point(Y[s_i].copy()), tgt,
-                                        window=(step_t - 0.2 * abs(t) - 1e-6,
-                                                step_t + 0.2 * abs(t) + 1e-6),
-                                        tol=tol, radius_slack=RADIUS_SLACK)
-                    Y_new[s_i] = ev.hit_point.coords
-                    dd = m.displacement(bx, Y_new[s_i])
-                    disp[s_i] = dd
-                    d[s_i] = np.linalg.norm(dd)
-                except (NoCrossing, Timeout):
-                    error_state[alive_idx[s_i]] = CELL_NO_CROSSING
-                    d[s_i] = np.inf
-                except LeftTube:
-                    error_state[alive_idx[s_i]] = CELL_LEFT_TUBE
-                    d[s_i] = np.inf
-
+        # every catalog flow carries each row exactly onto the plane through
+        # the carried base (row 0, residual zero); a row off it has no
+        # crossing at this step
+        off_plane = np.abs(resid) > max(1e-7 * (1.0 + abs(t)), 100.0 * tol)
         tol_k = tol_factor * n_x
         guard_k = RADIUS_SLACK * beta * n_x
         fail_tube = d > guard_k
         fail_tol = d > tol_k * (1.0 + 1e-9) + 1e-15
-        fails = fail_tube | fail_tol
+        fails = off_plane | fail_tube | fail_tol
         fails[0] = False
         if np.any(fails):
             rows = np.flatnonzero(fails)
             cells = alive_idx[rows]
             fail_step[cells] = k
-            tube_rows = rows[fail_tube[rows] & (error_state[cells] == CELL_OK)]
-            error_state[alive_idx[tube_rows]] = CELL_LEFT_TUBE
+            error_state[cells[fail_tube[rows]]] = CELL_LEFT_TUBE
+            error_state[cells[off_plane[rows]]] = CELL_NO_CROSSING
         keep = ~fails
         alive_idx = alive_idx[keep]
         Y = Y_new[keep]

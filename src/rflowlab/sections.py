@@ -25,14 +25,10 @@ import numpy as np
 
 from .errors import BetaTooLarge, LeftTube, NoCrossing, SingularBase, Timeout
 from .flows import FlowSpec, field_norm
-from .geometry import NormalFrame, Point
-from .integrate import (
-    DEFAULT_TOL,
-    CrossingEvent,
-    first_crossing,
-    flow_map,
-    orbit_batch,
-)
+from .geometry import NormalFrame, Point, _readonly
+from .integrate import DEFAULT_TOL, T_MAX, first_crossing, orbit_batch
+# unused here: perfbench/bench_trace.py patches it; ROADMAP item 1 drops it
+from .integrate import flow_map  # noqa: F401
 
 SINGULAR_NORM = 1e-12
 
@@ -104,48 +100,40 @@ def holonomy(f: FlowSpec, source: CrossSection, t: float, y: Point,
              tol: float = DEFAULT_TOL, radius_slack: float = 1.0) -> HolonomyResult:
     """Holonomy P over time t from the source section to the one at phi_t(base).
 
-    Locates the crossing of the target plane inside a window of half-width
-    beta * ||X(phi_t(base))|| around t, doubling the window up to four
-    times before giving up. ``radius_slack`` relaxes the target-radius
-    containment check (slack > 1 lets callers measure how far outside the
-    tube an image lands instead of erroring).
+    One ``orbit_batch`` of ``[base, y]`` checks the tube and gives the
+    target base phi_t(base) as its base row's last sample. The crossing of
+    the target plane is located inside one window of half-width
+    beta * ||X(phi_t(base))|| around t. ``radius_slack`` relaxes the
+    target-radius containment check (slack > 1 lets callers measure how far
+    outside the tube an image lands instead of erroring).
     """
-    target_base = flow_map(f, source.base, t, tol=tol)
+    if abs(t) > T_MAX:
+        raise ValueError(f"|t|={abs(t)} exceeds T_MAX={T_MAX}")
+    tube_ok, states = _tube_inequality_holds(f, source, y, t, tol)
+    target_base = Point(_readonly(states[0, -1]))
     target = make_section(f, target_base, source.beta,
                           seed_axes=source.frame.axes)
-
     w = max(target.radius, 1e-9)
-    event: CrossingEvent | None = None
-    last_exc: Exception | None = None
-    for _ in range(5):    # the first window, then four doublings
-        try:
-            event = first_crossing(f, y, target, window=(t - w, t + w),
-                                   tol=tol, radius_slack=radius_slack)
-            break
-        except NoCrossing as exc:
-            last_exc = exc
-            w *= 2.0
-    if event is None:
-        raise last_exc if last_exc is not None else NoCrossing(
-            f"{f.name}: crossing not found near t={t}")
-
+    event = first_crossing(f, y, target, window=(t - w, t + w), tol=tol,
+                           radius_slack=radius_slack)
     d_img = float(f.manifold.distance_array(target_base.coords,
                                             event.hit_point.coords))
-    tube_ok = _tube_inequality_holds(f, source, y, t, tol)
     return HolonomyResult(image=event.hit_point, hit_time=event.hit_time,
                           tube_ok=tube_ok, image_coords=event.offset_coords,
                           target=target, distance_to_base=d_img,
                           residual=event.residual)
 
 
-def _tube_inequality_holds(f, source, y, t, tol) -> bool:
+def _tube_inequality_holds(f, source, y, t, tol):
+    """Whether y's orbit stays in the rescaled tube, and the (2, m, d)
+    states of ``[base, y]`` at the tube samples, which end at time t."""
     times = np.unique(_tube_samples(t))
     ordered = times if t >= 0 else times[::-1]
     pair = np.vstack([source.base.coords, y.coords])
-    states = orbit_batch(f, pair, ordered, tol=tol)  # (2, m, d)
+    states = orbit_batch(f, pair, ordered, tol=tol)
     bounds = source.beta * np.linalg.norm(f.field(states[0]), axis=-1)
     dists = f.manifold.distance_array(states[0], states[1])
-    return bool(np.all(dists <= bounds * (1 + 1e-9) + 1e-12))
+    return bool(np.all(dists <= bounds * (1 + 1e-9) + 1e-12)), states
 
 
 def holonomy_orbit(f: FlowSpec, x: Point, beta: float, t: float, n: int,

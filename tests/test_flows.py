@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import field_derivative_bound, reversed_flow
-from rflowlab.flows import (LAMBDA_PLUS, eval_field, field_norm, get_flow,
-                            sample_points)
+from rflowlab.flows import LAMBDA_PLUS, field_norm, get_flow, sample_points
 
 TORUS = get_flow("solid_torus")
 CAT = get_flow("cat_suspension")
@@ -23,9 +22,9 @@ def _sample_coords(flow, n, seed):
 
 
 def test_solid_torus_field_values():
-    assert np.allclose(eval_field(TORUS, _pt(TORUS, (0.0, 0.2, 0.0))), (0, 0, 0))
-    assert np.allclose(eval_field(TORUS, _pt(TORUS, (-0.5, 0.0, 0.0))), (0.5, 0, 0))
-    assert np.allclose(eval_field(TORUS, _pt(TORUS, (1.5, 0.0, 0.0))), (1.0, 0, 0))
+    assert np.allclose(TORUS.field(_pt(TORUS, (0.0, 0.2, 0.0)).coords), (0, 0, 0))
+    assert np.allclose(TORUS.field(_pt(TORUS, (-0.5, 0.0, 0.0)).coords), (0.5, 0, 0))
+    assert np.allclose(TORUS.field(_pt(TORUS, (1.5, 0.0, 0.0)).coords), (1.0, 0, 0))
 
 
 def test_field_norms():
@@ -66,10 +65,10 @@ def test_field_continuity_lipschitz():
         assert np.all(dv <= lip * dd + 1e-10)
 
 
-def test_eval_field_pure():
-    x = _pt(TORUS, (0.37, 0.11, -0.05))
-    a = eval_field(TORUS, x)
-    b = eval_field(TORUS, x)
+def test_field_is_pure():
+    x = _pt(TORUS, (0.37, 0.11, -0.05)).coords
+    a = TORUS.field(x)
+    b = TORUS.field(x)
     assert np.array_equal(a, b)
 
 
@@ -93,7 +92,7 @@ def test_rescale_invariants():
 def test_reversed_flow_negates_field():
     rev = reversed_flow(CAT)
     x = _pt(CAT, (0.1, 0.2, 0.3))
-    assert np.allclose(eval_field(rev, x), -eval_field(CAT, x))
+    assert np.allclose(rev.field(x.coords), -CAT.field(x.coords))
     assert rev.name == "cat_suspension_reversed"
 
 

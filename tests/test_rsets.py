@@ -8,6 +8,7 @@ widths, and separation horizons in closed form.
 """
 
 import csv
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,9 @@ from oracles import reversed_flow
 from rflowlab import integrate, rsets
 from rflowlab.errors import BetaTooLarge, BudgetExhausted, GammaTooLarge, SingularBase
 from rflowlab.flows import CAT_MATRIX, LAMBDA_PLUS, get_flow, sample_points
+from rflowlab.integrate import DEFAULT_TOL, flow_map
 from rflowlab.rsets import (
+    CELL_NO_CROSSING,
     CELL_OUT_OF_MANIFOLD,
     CELL_OUTSIDE_SECTION,
     ERROR_NAMES,
@@ -35,7 +38,12 @@ from rflowlab.rsets import (
     _propagate_points,
     uniform_expansiveness_scan,
 )
-from rflowlab.sections import SINGULAR_NORM, make_section
+from rflowlab.sections import (
+    SINGULAR_NORM,
+    _tube_inequality_holds,
+    make_section,
+    section_point,
+)
 from torus_orbit import x_after
 
 TORUS = get_flow("solid_torus")
@@ -130,8 +138,8 @@ def test_vacuous_tolerance_membership_is_existence():
 @pytest.mark.parametrize("flow", [TORUS, CAT, RIGID], ids=lambda f: f.name)
 def test_carried_grid_rows_land_on_the_target_plane(flow, reverse):
     """Each row a holonomy step carries ends exactly on the plane through
-    the carried base, one to four steps either way, so no row is ever sent
-    to the straggler branch of ``_propagate_points``: the section is normal
+    the carried base, one to four steps either way, so no row of
+    ``_propagate_points`` fails as having no crossing: the section is normal
     to an axis along which every catalog field moves all its points alike."""
     f = reversed_flow(flow) if reverse else flow
     rng = np.random.default_rng(17)
@@ -144,16 +152,68 @@ def test_carried_grid_rows_land_on_the_target_plane(flow, reverse):
                                                   r * np.sin(th)], axis=1)])
         for sign in (1, -1):
             # infinite tolerances keep every row alive through all four steps
-            with mock.patch.object(rsets, "first_crossing",
-                                   side_effect=AssertionError("straggler")):
-                run = _propagate_points(f, section, 1.0, cells, sign, 4,
-                                        np.inf, np.inf, record_tracks=True)
+            run = _propagate_points(f, section, 1.0, cells, sign, 4,
+                                    np.inf, np.inf, record_tracks=True)
+            assert not np.any(run.error_state == CELL_NO_CROSSING)
             assert len(run.tracks) == run.horizon >= 1
             for alive, Y in run.tracks:
                 assert alive.size == cells.shape[0]
                 nhat = f.field(Y[0]) / np.linalg.norm(f.field(Y[0]))
                 resid = f.manifold.displacement(Y[0], Y) @ nhat
                 assert np.all(resid == 0.0)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize("flow", [TORUS, CAT, RIGID], ids=lambda f: f.name)
+def test_holonomy_tube_batch_ends_at_the_target_base_on_its_plane(flow, reverse):
+    """``holonomy`` takes phi_t(base) from its tube batch and scans one
+    window around t. Both rest on this: the batch's base row at t has the
+    bits of ``flow_map``, and phi_t(y) lies exactly on the target plane,
+    for both signs of t and, on the solid torus, across its kink |x| = 1."""
+    f = reversed_flow(flow) if reverse else flow
+    rng = np.random.default_rng(19)
+    kw = {"x_range": (0.1, 1.9)} if flow.manifold.disk_axes else {}
+    kinks_crossed = {1.0: 0, -1.0: 0}
+    for x in sample_points(flow, 6, seed=20, **kw):
+        section = make_section(f, x, 0.1)
+        for t in (1.0, -1.0, 2.5, -2.5):
+            for _ in range(3):
+                u = rng.uniform(-0.7, 0.7, size=2) * section.radius
+                y = section_point(f, section, u)
+                _, states = _tube_inequality_holds(f, section, y, t,
+                                                   DEFAULT_TOL)
+                base_t, y_t = states[0, -1], states[1, -1]
+                assert np.array_equal(base_t, flow_map(f, x, t).coords)
+                nhat = f.field(base_t) / np.linalg.norm(f.field(base_t))
+                assert f.manifold.displacement(base_t, y_t) @ nhat == 0.0
+            if f.switch is not None and \
+                    f.switch(x.coords) * f.switch(base_t) < 0:
+                kinks_crossed[np.sign(t)] += 1
+    if flow is TORUS:
+        assert min(kinks_crossed.values()) > 0
+
+
+def test_rows_carried_off_the_target_plane_fail_as_no_crossing():
+    """A field whose speed along the section normal varies across the
+    section carries rows off the target plane; each fails at step 1 as
+    having no crossing, while the base travels on."""
+    def field(coords):
+        coords = np.asarray(coords, dtype=float)
+        out = np.zeros_like(coords)
+        out[..., 0] = 1.0 + coords[..., 1] ** 2
+        return out
+
+    f = dataclasses.replace(RIGID, name="sheared_rotation", field=field)
+    section = make_section(f, _pt(f, (0.3, 0.3, 0.0)), 0.1)
+    th = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+    cells = 0.5 * section.radius * np.stack([np.cos(th), np.sin(th)], axis=1)
+    dy = (cells @ section.frame.axes)[:, 1]
+    cells = np.vstack([np.zeros(2), cells[np.abs(dy) > 1e-3]])
+    run = _propagate_points(f, section, 1.0, cells, 1, 2, np.inf, np.inf)
+    assert run.horizon == 2
+    assert run.fail_step[0] == 3 and run.error_state[0] == 0
+    assert np.all(run.fail_step[1:] == 1)
+    assert np.all(run.error_state[1:] == CELL_NO_CROSSING)
 
 
 def test_membership_monotone_in_horizon():

@@ -2,6 +2,7 @@
 oracle, rescaled-tube containment, injectivity, and stepwise orbits."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import section_coords
 from rflowlab.errors import BetaTooLarge, LeftTube, SingularBase, Timeout
+from rflowlab import sections
 from rflowlab.flows import CAT_MATRIX, LAMBDA_PLUS, get_flow, sample_points
 from rflowlab.sections import holonomy, holonomy_orbit, make_section, section_point
 
@@ -51,6 +53,18 @@ def test_section_coords_roundtrip():
     u = np.array([0.03, -0.04])
     p = section_point(CAT, sec, u)
     assert np.allclose(section_coords(CAT, sec, p), u, atol=1e-12)
+
+
+def test_holonomy_rejects_times_beyond_t_max():
+    """Checked before the tube batch, which would otherwise allocate
+    ceil(|t| / 0.05) samples first."""
+    x = _pt(CAT, (0.2, 0.8, 0.6))
+    sec = make_section(CAT, x, 0.1)
+    with mock.patch.object(sections, "orbit_batch",
+                           side_effect=AssertionError("tube batch ran")):
+        for t in (300.0, -300.0):
+            with pytest.raises(ValueError, match="T_MAX"):
+                holonomy(CAT, sec, t, x)
 
 
 def test_holonomy_base_maps_to_base():
