@@ -22,9 +22,14 @@ of a step across one, which assumes a smooth field. A step that changes
 the switch's sign is therefore taken again, to end just past the zero the
 dense interpolant locates (the same reference, and Gear and Osterby,
 ACM TOMS 10, 1984), so no accepted step straddles a kink by more than a
-few tolerances. A caller that integrates the same points again, such as
-one holonomy horizon after another, can pass each point's last proposed
-step on (``steps``) instead of starting again from a small guess.
+few tolerances. A kink the orbits only approach (an equilibrium such as
+the solid torus's singular disk) is crossed by no step's end but can be
+by its inner stages: a step longer than 1.02 / lam, lam the field's rate
+of change estimated from its first two stages, is taken again, and no
+step proposes more than 1.01 / lam. A caller that integrates the same
+points again, such as one holonomy horizon after another, can pass each
+point's last proposed step on (``steps``) instead of starting again from
+a small guess.
 
 Section crossings use standard event location (same reference): the
 plane function is scanned over dense samples of the window, which only
@@ -93,9 +98,9 @@ def _rk_step(field, y, f0, h):
 
     States are held transposed, (d, n): each coordinate is a contiguous
     row, so per-row step sizes broadcast along it; ``field`` sees (n, d)
-    views. Returns (y_new, f_new, err, stages): f_new is FSAL, err is
+    views. Returns (y_new, f_new, err, stages, k2): f_new is FSAL, err is
     each row's largest error component, stages are (k1, k3, k4, k5, k6,
-    k7) for dense output.
+    k7) for dense output, and k2 is the field at the first inner stage.
     """
     k1 = f0
     k2 = field((y + h * (_A21 * k1)).T).T
@@ -110,7 +115,8 @@ def _rk_step(field, y, f0, h):
     k7 = field(y5.T).T
     err = h * (_ERR[0] * k1 + _ERR[2] * k3 + _ERR[3] * k4 + _ERR[4] * k5
                + _ERR[5] * k6 + _ERR[6] * k7)
-    return y5, k7, np.maximum.reduce(np.abs(err)), (k1, k3, k4, k5, k6, k7)
+    err = np.maximum.reduce(np.abs(err))
+    return y5, k7, err, (k1, k3, k4, k5, k6, k7), k2
 
 
 def _dense_coeffs(y, y_new, h, stages):
@@ -211,7 +217,9 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
     When the flow has a ``switch`` and a row's trial step changes its
     sign, the row locates the zero on that step's dense interpolant and
     takes the step again, to just past the zero, so no accepted step
-    straddles a kink of the field by more than ``_LAND_REACH * tol``.
+    straddles a kink of the field by more than ``_LAND_REACH * tol``. Its
+    steps also stay within about 1 / lam, lam the field's rate of change,
+    so that no inner stage crosses a kink that the orbit only approaches.
 
     ``steps``, if given, holds each row's first trial step (NaN or 0 for
     the default guess) and is overwritten with each row's next proposed
@@ -255,6 +263,7 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
         reach = _LAND_REACH * tol
         up = switch(y.T) > 0        # the side of the switch each row is on
         land = np.full(n, np.inf)   # a step that ends just past a located zero
+        diff = np.empty_like(y)     # k2 - k1 of each live row's step
     for attempt in range(MAX_STEPS + 1):
         if attempt == MAX_STEPS:
             raise Timeout(f"{f.name}: batch step budget exhausted at "
@@ -265,7 +274,7 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
         hs = hh if sign > 0 else -hh
         # a step that every row shares, as at a horizon all rows are capped
         # at, is passed as a scalar: the same bits, and faster on a large grid
-        y_new, f_new, err, stages = _rk_step(
+        y_new, f_new, err, stages, k2 = _rk_step(
             field, y, f0,
             hs[0] if hs.size > 1 and not np.count_nonzero(hs != hs[0]) else hs)
         tol_h = tol * hh
@@ -283,6 +292,27 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
             h_next[landed] = np.maximum(h[landed], h_next[landed])
             land[:] = np.inf
             cross = up_new != up
+            # lam = |k2 - k1| / |stage 2 - y| is the field's rate of change
+            # at the step's start. The later stages of a step much longer
+            # than 1 / lam can overshoot an equilibrium the orbit only nears
+            # (those of x' = -x cross 0 from h = 1.035 on), and where the
+            # field has a kink there, as rho = |x| has at the singular disk,
+            # the error estimate misses it. No row proposes more than
+            # 1.01 / lam, and a step longer than 1.02 / lam that crosses no
+            # switch zero is taken again; a unit step at unit rate, as a
+            # holonomy chain next to the singular disk takes per horizon,
+            # stays one step.
+            buf = diff[:, :hh.size]
+            d21 = np.maximum.reduce(np.abs(np.subtract(k2, f0, out=buf),
+                                           out=buf))
+            n1 = np.maximum.reduce(np.abs(f0, out=buf))  # 5 |stage 2 - y| / h
+            wide = d21 * np.maximum(h_next, hh) > (1.01 * _A21) * n1 * hh
+            if np.count_nonzero(wide):      # over 1.01 / lam
+                w = np.flatnonzero(wide)
+                s2 = _A21 * n1[w]
+                h_next[w] = np.minimum(h_next[w], 1.01 * s2 * hh[w] / d21[w])
+                rejected[w] |= ((d21[w] > 1.02 * s2) & ~cross[w]
+                                & (hh[w] > 1e-13))
             n_cross = np.count_nonzero(cross)
             if n_cross:
                 # a step that ends more than reach past the zero is taken

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rflowlab import integrate
@@ -239,6 +239,9 @@ def _torus_error_ratio(pts, times, tol):
        disk=st.floats(-0.4, 0.4), tol=st.sampled_from((1e-7, 1e-9)),
        t=st.floats(0.05, 4.0), fractions=st.lists(st.floats(0.01, 1.0),
                                                   max_size=6))
+# steps toward the singular disk grew to h = 1.28, where DP5's stages
+# overshoot the kink of rho at x = 0 (1.16 tol e^t)
+@example(sign=1.0, mags=[1e-5], disk=0.0, tol=1e-7, t=2.0, fractions=[])
 def test_solid_torus_matches_closed_form_away_from_kinks(sign, mags, disk,
                                                          tol, t, fractions):
     """Orbits that cross no kink of rho: x0 in (-1, 0) forward, decaying
@@ -274,14 +277,29 @@ def test_solid_torus_matches_closed_form_across_kinks(sign, xs, disk, tol, t,
     assert np.all(_torus_error_ratio(pts, times, tol) <= 1.0)
 
 
-@pytest.mark.xfail(strict=True, reason="DP5 stages of a long step overshoot "
-                   "the kink of rho at x = 0 on the decaying side, and the "
-                   "error estimate misses it (1.45 tol e^t here)")
 def test_solid_torus_decaying_side_meets_tolerance():
     """A start in the domain of the closed-form test above, toward the
-    singular disk, where the integrator misses its tolerance."""
+    singular disk, where DP5 stages of a step longer than 1 / rho would
+    overshoot the kink of rho at x = 0 (1.45 tol e^t without the cap)."""
     pts = np.array([[-6e-6, 0.375, 0.0]])
     assert np.all(_torus_error_ratio(pts, np.array([2.0]), 1e-7) <= 1.0)
+
+
+def test_steps_next_to_the_singular_disk_stay_within_the_rate_bound():
+    """Next to the disk, where the error test passes any step, a row's
+    steps stay within about 1 / |x'/x| = 1: a unit horizon stays one step,
+    and a trial step of 2 is taken again as 1.01 and 0.99."""
+    for x0, sign in ((-1e-12, 1.0), (3e-13, -1.0)):   # both decay to x = 0
+        p = np.array([[x0, 0.2, 0.0]])
+
+        def run(t):
+            return _spy_steps(lambda: orbit_batch(
+                TORUS, p, np.array([sign * t]), 1e-9, np.array([5.0])))
+
+        assert [(h[0], acc[0]) for h, acc in run(1.0)] == [(1.0, True)]
+        steps = run(2.0)
+        assert [acc[0] for _, acc in steps] == [False, True, True]
+        assert [round(h[0], 9) for h, _ in steps] == [2.0, 1.01, 0.99]
 
 
 TORUS_KINK_ROW = 39   # x0 = 0.794, crosses the kink at x = 1 near t = 0.23
