@@ -1,0 +1,125 @@
+"""Time two checkouts on one benchmark workload, round by round, in one process.
+
+Usage::
+
+    python scripts/ab_rounds.py A B [--workload NAME] [--rounds N]
+                                [--seed N] [--out DIR]
+
+A and B are two checkouts of this repository (say, a parent commit and a
+change). Each one's ``src/rflowlab`` is loaded under its own package name
+(``rflowlab_a``, ``rflowlab_b``) in this one process. The workload is one
+of ``perfbench/bench_workloads.py`` (default ``rset-suspension``), read
+from the checkout that holds this script; its config is built with each
+side's own ``cli.ExperimentConfig``, at ``workers=1``.
+
+A round runs ``cli.run`` once on each side, in alternating order (A first
+in even rounds), each into a cleared directory ``DIR/a`` or ``DIR/b`` (a
+fresh temporary directory by default). Load on a shared host comes in
+spells longer than a round, so rounds taken back to back see about the
+same host speed, and the per-round ratio B/A cancels most of it. After
+the rounds, the script prints each side's median round time, the median
+B/A ratio with its quartiles, the rounds B won, and whether the two sides
+wrote byte-identical files in every round (``manifest.json``, which
+records wall time, left out).
+
+The exit status is 1 when a run does not exit 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+
+
+def _load(name, repo):
+    """``repo``'s rflowlab package, imported as ``name``; its ``cli`` module."""
+    pkg = Path(repo).resolve() / "src" / "rflowlab"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli")
+
+
+def _files(outdir):
+    """The bytes of every file a run wrote, keyed by relative path."""
+    return {str(p.relative_to(outdir)): p.read_bytes()
+            for p in sorted(outdir.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def _timed_run(cli, workload, seed, outdir):
+    shutil.rmtree(outdir, ignore_errors=True)
+    config = cli.ExperimentConfig(flow=workload.flow, command=workload.command,
+                                  params=dict(workload.params),
+                                  output_dir=str(outdir), seed=seed, workers=1)
+    start = time.perf_counter()
+    code = cli.run(config)
+    return time.perf_counter() - start, code
+
+
+def _quartiles(values):
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("a", type=Path, metavar="A")
+    parser.add_argument("b", type=Path, metavar="B")
+    parser.add_argument("--workload", default="rset-suspension")
+    parser.add_argument("--rounds", type=int, default=40)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", type=Path, default=None)
+    args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2")
+
+    sys.path.insert(0, str(HERE.parent / "perfbench"))
+    from bench_workloads import WORKLOADS
+    if args.workload not in WORKLOADS:
+        parser.error(f"unknown workload {args.workload!r}; "
+                     f"available: {', '.join(WORKLOADS)}")
+    workload = WORKLOADS[args.workload]
+    sides = {"a": _load("rflowlab_a", args.a), "b": _load("rflowlab_b", args.b)}
+    out = args.out or Path(tempfile.mkdtemp(prefix="ab_rounds_"))
+
+    times = {"a": [], "b": []}
+    identical, failed = True, []
+    for r in range(args.rounds):
+        for side in ("ab" if r % 2 == 0 else "ba"):
+            dt, code = _timed_run(sides[side], workload, args.seed, out / side)
+            if code != 0:
+                failed.append(f"round {r}: {side.upper()} exited {code}")
+            times[side].append(dt)
+        identical &= _files(out / "a") == _files(out / "b")
+        print(f"round {r}: A {times['a'][-1]:.4f} s, B {times['b'][-1]:.4f} s",
+              file=sys.stderr, flush=True)
+
+    ratios = [b / a for a, b in zip(times["a"], times["b"])]
+    r1, r2, r3 = _quartiles(ratios)
+    print(f"workload {args.workload}, seed {args.seed}, {args.rounds} rounds")
+    for side, repo in (("a", args.a), ("b", args.b)):
+        print(f"{side.upper()} median {statistics.median(times[side]):.4f} s "
+              f"({repo})")
+    print(f"B/A median {r2:.3f} (quartiles {r1:.3f} .. {r3:.3f})")
+    print(f"B won {sum(b < a for a, b in zip(times['a'], times['b']))} "
+          f"of {args.rounds} rounds")
+    print(f"outputs byte-identical: {'yes' if identical else 'no'}")
+    for msg in failed:
+        print(f"ab_rounds: {msg}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -196,9 +196,12 @@ def validate(config: ExperimentConfig):
                    f"t={json.dumps(p['t'])}, "
                    f"t_choices={json.dumps(p['t_choices'])}")
     if config.command == "holonomy":
-        bad += [f"{k}={json.dumps(p[k])} exceeds T_MAX={T_MAX}"
+        # the crossing window reaches the target section's radius, at most
+        # beta on every catalog flow (||X|| <= 1), past t
+        t_top = T_MAX - p["beta"]
+        bad += [f"{k}={json.dumps(p[k])} exceeds T_MAX - beta = {t_top:.6g}"
                 for k in ("t", "t_choices")
-                if p[k] is not None and np.any(np.asarray(p[k]) > T_MAX)]
+                if p[k] is not None and np.any(np.asarray(p[k]) > t_top)]
     if config.command == "uef" and p["eta"] is None:
         bad.append("uef needs eta")
     return bad

@@ -58,7 +58,10 @@ class FlowSpec:
     name: str
     manifold: ModelManifold
     field: Callable                       # vectorized (..., d) -> (..., d), wraps internally;
-                                          # invariant under every deck map of the manifold
+                                          # invariant under every deck map of the manifold.
+                                          # A batch whose points all get the same value
+                                          # may get a read-only view with row stride 0;
+                                          # callers never write into a result
     singular_set_description: str
     singular_predicate: Callable          # vectorized (..., d) -> bool array
     rescale: RescaleConstants
@@ -97,8 +100,8 @@ def cat_suspension_manifold() -> ModelManifold:
 # -------------------------------------------------------------------- fields
 
 def _reduce_x(x):
-    """x reduced into [-2, 2] by the 4-period; exact (x itself) for |x| < 2."""
-    x = np.asarray(x, dtype=float)
+    """x (a float array or scalar) reduced into [-2, 2] by the 4-period;
+    exact (x itself) for |x| < 2."""
     return x - 4.0 * np.rint(x / 4.0)
 
 
@@ -112,19 +115,41 @@ def _solid_torus_switch(coords):
     return np.cos(_HALF_PI * coords[..., 0])
 
 
+def _shared_rows(row, n):
+    """n rows that all read ``row``: a read-only view with row stride 0."""
+    rows = np.ndarray((n, row.size), row.dtype, row, 0, (0, row.itemsize))
+    rows.flags.writeable = False
+    return rows
+
+
 def _solid_torus_field(coords):
     coords = np.asarray(coords, dtype=float)
+    x = coords[..., 0]
+    # a batch of more than two rows that shares x (a section grid normal to
+    # x) shares its value; +0.0 and -0.0 give the same rho, and a NaN row
+    # fails the test. On a pair, as in a two-point tube check, one shared
+    # column saves nothing, and broadcasting it costs more than a fill
+    if coords.ndim == 2 and x.size > 2 and x[0] == x[-1] \
+            and not np.count_nonzero(x != x[0]):
+        row = np.zeros(coords.shape[1])
+        row[0] = _rho(x[0])
+        return _shared_rows(row, x.size)
     out = np.empty_like(coords)     # in coords' memory layout, as integrate wants
     out[..., 1:] = 0.0
-    out[..., 0] = _rho(coords[..., 0])
+    out[..., 0] = _rho(x)
     return out
 
 
 def _constant_field(direction):
     direction = np.asarray(direction, dtype=float)
+    # a 2-D batch is a slice of one shared view, as long as any float batch
+    # numpy can hold; a pair is filled, as on the solid torus
+    rows = _shared_rows(direction, np.iinfo(np.intp).max // direction.nbytes)
 
     def field(coords):
         coords = np.asarray(coords, dtype=float)
+        if coords.ndim == 2 and coords.shape[0] != 2:
+            return rows[:coords.shape[0]]
         out = np.empty_like(coords)
         out[...] = direction
         return out

@@ -10,6 +10,9 @@ bits in any batch as alone. Every catalog field is invariant under the
 deck maps of its manifold, so states are carried in the universal cover of
 the chart and wrapped into the fundamental domain only on output; crossing
 the glued fiber of a mapping torus needs no special handling during a step.
+A field may return a view with row stride 0 when every point of a batch
+gets the same value; each stage sum of a step is then formed once, on one
+column, for every row alike: the same numbers, so the same bits.
 
 Steps are chosen toward the last requested time only, which is landed on
 exactly; earlier sample times are filled from the pair's dense-output
@@ -98,25 +101,38 @@ def _rk_step(field, y, f0, h):
 
     States are held transposed, (d, n): each coordinate is a contiguous
     row, so per-row step sizes broadcast along it; ``field`` sees (n, d)
-    views. Returns (y_new, f_new, err, stages, k2): f_new is FSAL, err is
-    each row's largest error component, stages are (k1, k3, k4, k5, k6,
-    k7) for dense output, and k2 is the field at the first inner stage.
+    views. In a batch of more than two rows, a stage the field gives every
+    row alike, as a view with row stride 0, is carried as one (d, 1)
+    column through the stage sums and the error estimate: each row's
+    operands are the same numbers, so each row's bits are too. Returns
+    (y_new, f_new, err, stages, k2): f_new is FSAL, as the field gave it;
+    err is each row's largest error component (one entry for all rows
+    when they share it); stages are (k1, k3, k4, k5, k6, k7) for dense
+    output and k2 is the field at the first inner stage, each (d, n) or a
+    shared (d, 1) column.
     """
-    k1 = f0
+    many = y.shape[1] > 2       # one row is a column; catalog fields fill pairs
+    k1 = f0[:, :1] if many and not f0.strides[1] else f0
     k2 = field((y + h * (_A21 * k1)).T).T
+    k2 = k2[:, :1] if many and not k2.strides[1] else k2
     k3 = field((y + h * (_A3[0] * k1 + _A3[1] * k2)).T).T
+    k3 = k3[:, :1] if many and not k3.strides[1] else k3
     k4 = field((y + h * (_A4[0] * k1 + _A4[1] * k2 + _A4[2] * k3)).T).T
+    k4 = k4[:, :1] if many and not k4.strides[1] else k4
     k5 = field((y + h * (_A5[0] * k1 + _A5[1] * k2 + _A5[2] * k3
                          + _A5[3] * k4)).T).T
+    k5 = k5[:, :1] if many and not k5.strides[1] else k5
     k6 = field((y + h * (_A6[0] * k1 + _A6[1] * k2 + _A6[2] * k3 + _A6[3] * k4
                          + _A6[4] * k5)).T).T
+    k6 = k6[:, :1] if many and not k6.strides[1] else k6
     y5 = y + h * (_B5[0] * k1 + _B5[2] * k3 + _B5[3] * k4 + _B5[4] * k5
                   + _B5[5] * k6)
-    k7 = field(y5.T).T
+    f_new = field(y5.T).T
+    k7 = f_new[:, :1] if many and not f_new.strides[1] else f_new
     err = h * (_ERR[0] * k1 + _ERR[2] * k3 + _ERR[3] * k4 + _ERR[4] * k5
                + _ERR[5] * k6 + _ERR[6] * k7)
     err = np.maximum.reduce(np.abs(err))
-    return y5, k7, err, (k1, k3, k4, k5, k6, k7), k2
+    return y5, f_new, err, (k1, k3, k4, k5, k6, k7), k2
 
 
 def _dense_coeffs(y, y_new, h, stages):
@@ -212,7 +228,9 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
     that contains them, so they never shorten a step and the last sample
     equals that of a call with the last time alone. No row's arithmetic
     depends on another row, so each row is bit-identical to the same point
-    run alone.
+    run alone. A stage the field gives every row alike (a view with row
+    stride 0, as on a section grid of a catalog flow) is summed once, as
+    one column shared by all rows.
 
     When the flow has a ``switch`` and a row's trial step changes its
     sign, the row locates the zero on that step's dense interpolant and
@@ -225,8 +243,9 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
     the default guess) and is overwritten with each row's next proposed
     step, so a chain of calls continues each row's step size.
 
-    Times must be monotone away from zero, single sign. More than
-    ``MAX_STEPS`` attempted steps raise Timeout.
+    Times must be monotone away from zero, single sign. A batch of no
+    points returns (0, m, d) at once. More than ``MAX_STEPS`` attempted
+    steps raise Timeout.
     """
     coords = np.asarray(coords, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -241,6 +260,8 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
             raise ValueError("orbit_batch times must share one sign")
         if np.any(np.diff(abst) <= 0):
             raise ValueError("orbit_batch times must be monotone away from zero")
+    if not coords.shape[0]:         # no rows, no steps
+        return out
     target = float(abst[-1])
     if not target > 1e-14:
         out[:] = coords[:, None]
@@ -302,16 +323,20 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
             # switch zero is taken again; a unit step at unit rate, as a
             # holonomy chain next to the singular disk takes per horizon,
             # stays one step.
-            buf = diff[:, :hh.size]
-            d21 = np.maximum.reduce(np.abs(np.subtract(k2, f0, out=buf),
+            # rows that share k1 and k2 share lam: one entry for them all
+            k1 = stages[0]
+            buf = diff[:, :max(k1.shape[1], k2.shape[1])]
+            d21 = np.maximum.reduce(np.abs(np.subtract(k2, k1, out=buf),
                                            out=buf))
-            n1 = np.maximum.reduce(np.abs(f0, out=buf))  # 5 |stage 2 - y| / h
+            n1 = np.maximum.reduce(np.abs(k1, out=buf))  # 5 |stage 2 - y| / h
             wide = d21 * np.maximum(h_next, hh) > (1.01 * _A21) * n1 * hh
             if np.count_nonzero(wide):      # over 1.01 / lam
                 w = np.flatnonzero(wide)
-                s2 = _A21 * n1[w]
-                h_next[w] = np.minimum(h_next[w], 1.01 * s2 * hh[w] / d21[w])
-                rejected[w] |= ((d21[w] > 1.02 * s2) & ~cross[w]
+                if d21.size > 1:
+                    d21, n1 = d21[w], n1[w]
+                s2 = _A21 * n1
+                h_next[w] = np.minimum(h_next[w], 1.01 * s2 * hh[w] / d21)
+                rejected[w] |= ((d21 > 1.02 * s2) & ~cross[w]
                                 & (hh[w] > 1e-13))
             n_cross = np.count_nonzero(cross)
             if n_cross:
@@ -320,7 +345,8 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
                 # grid in a section across the kink) are read without a copy
                 c = np.flatnonzero(cross) if n_cross < cross.size else slice(None)
                 coeffs = _dense_coeffs(y[:, c], y_new[:, c], hs[c],
-                                       [k[:, c] for k in stages])
+                                       [k if k.shape[1] == 1 else k[:, c]
+                                        for k in stages])
                 th = _switch_zero(switch, coeffs, switch(y[:, c].T), g_new[c],
                                   0.125 * reach / hh[c])
                 again = (1.0 - th) * hh[c] > reach

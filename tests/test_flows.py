@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import field_derivative_bound, reversed_flow
 from rflowlab.flows import LAMBDA_PLUS, field_norm, get_flow, sample_points
@@ -109,3 +111,41 @@ def test_speed_is_exact_near_the_singular_disk(x):
     # rho(x) = |x| on [-1, 1] must not round x to the float grid of x + 2
     assert TORUS.field(np.array([x, 0.0, 0.0]))[0] == min(abs(x), 1.0)
     assert TORUS.singular_predicate(np.array([x, 0.0, 0.0])) == (abs(x) < 1e-12)
+
+
+def _batch(draw_kind, n, rng):
+    """A 2-D batch of n points of one kind: random rows, rows that share x
+    exactly, x a mix of +0.0 and -0.0, or rows that share x but one NaN."""
+    coords = rng.uniform(-6.0, 6.0, size=(n, 3))   # x past its 4-period too
+    if draw_kind == "shared_x":
+        coords[:, 0] = coords[0, 0]
+    elif draw_kind == "signed_zero":
+        coords[:, 0] = np.where(rng.uniform(size=n) < 0.5, 0.0, -0.0)
+    elif draw_kind == "nan_row":
+        coords[:, 0] = coords[0, 0]
+        coords[rng.integers(n), rng.integers(3)] = np.nan
+    return coords
+
+
+@settings(max_examples=150, deadline=None)
+@given(flow=st.sampled_from((TORUS, CAT, RIGID)), n=st.integers(1, 8),
+       kind=st.sampled_from(("random", "shared_x", "signed_zero", "nan_row")),
+       seed=st.integers(0, 2**16), layout=st.sampled_from(("C", "F")))
+def test_field_of_a_batch_is_the_stack_of_its_rows(flow, n, kind, seed, layout):
+    """A 2-D batch keeps its shape and gives each row the bits of the row
+    alone; a batch of more than two rows that all get one value shares one
+    row, and a shared result cannot be written into."""
+    coords = np.asarray(_batch(kind, n, np.random.default_rng(seed)),
+                        order=layout)
+    out = flow.field(coords)
+    assert out.shape == coords.shape
+    alone = np.stack([flow.field(coords[i:i + 1])[0] for i in range(n)])
+    assert np.array_equal(out.view(np.int64), alone.view(np.int64))
+    assert np.array_equal(out.view(np.int64),
+                          np.stack([flow.field(c) for c in coords]).view(np.int64))
+    one_value = flow is not TORUS or kind in ("shared_x", "signed_zero")
+    if n > 2 and one_value:
+        assert out.strides[0] == 0
+    if out.strides[0] == 0:
+        with pytest.raises(ValueError):
+            out[0, 0] = 1.0

@@ -344,6 +344,66 @@ def test_each_row_is_bit_identical_to_the_row_run_alone(flow, seed, n, tol, t,
         assert alone[0] == steps[i]
 
 
+def _section_grid(flow, n, x0, rng):
+    """n points of a section grid normal to the field: on the solid torus
+    they share x = x0 (the field reads x only), on the suspension the
+    height s = x0 (the field is constant)."""
+    disk = rng.uniform(-0.4, 0.4, size=(n, 2))
+    if flow is TORUS:
+        return np.column_stack([np.full(n, x0), disk])
+    return np.column_stack([disk, np.full(n, x0)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(("kink", "disk", "gluing")),
+       seed=st.integers(0, 2**16), n=st.integers(2, 7),
+       tol=st.sampled_from((1e-9, 1e-7)), t=st.floats(0.05, 3.0),
+       sign=st.sampled_from((1.0, -1.0)), mag=st.floats(0.0, 1.0),
+       fractions=st.lists(st.floats(0.01, 1.0), max_size=5),
+       carried=st.booleans())
+def test_shared_section_grids_are_bit_identical_to_each_row_alone(
+        case, seed, n, tol, t, sign, mag, fractions, carried):
+    """Grids whose rows all get the same field value: solid-torus rows that
+    share x, headed across the kink at |x| = 1 (``kink``) or toward the
+    singular disk (``disk``), and suspension rows that cross the gluing.
+    Two chained calls equal each row's own chain, bit for bit, carried step
+    included, also when the rows start from different carried steps; and
+    when they start alike, ``_rk_step`` carries every stage of a step of
+    more than two rows as one shared column (a pair is not shared)."""
+    rng = np.random.default_rng(seed)
+    if case == "kink":      # sign * x0 in [0.5, 1.1]: before, on or past x = +-1
+        flow, x0 = TORUS, sign * (0.5 + 0.6 * mag)
+    elif case == "disk":    # sign * x0 in [-0.5, 0): decays toward x = 0
+        flow, x0 = TORUS, -sign * (1e-12 + 0.5 * mag)
+    else:                   # s0 within t of the glued fiber s = 0 ~ 1
+        flow, x0 = CAT, 0.5 + sign * (0.5 - mag * min(t, 1.0))
+    pts = _section_grid(flow, n, x0, rng)
+    times = sign * np.unique(np.r_[[t * x for x in fractions], t])
+    steps = rng.uniform(0.01, 1.0, size=n) if carried else np.full(n, np.nan)
+    first_steps = steps.copy()
+    calls = []
+    real = integrate._rk_step
+
+    def spy(field, y, f0, h):
+        res = real(field, y, f0, h)
+        calls.append((y.shape[1], [k.shape[1] for k in (*res[3], res[4])]))
+        return res
+
+    with mock.patch.object(integrate, "_rk_step", spy):
+        first = orbit_batch(flow, pts, times, tol, steps)
+        second = orbit_batch(flow, first[:, -1], times, tol, steps)
+    for i in range(n):
+        alone = first_steps[i:i + 1].copy()
+        a = orbit_batch(flow, pts[i:i + 1], times, tol, alone)
+        b = orbit_batch(flow, a[:, -1], times, tol, alone)
+        assert np.array_equal(a[0], first[i]) and np.array_equal(b[0], second[i])
+        assert alone[0] == steps[i]
+    if not carried:
+        wide = [cols for rows, cols in calls if rows > 2]
+        assert all(cols == [1] * 7 for cols in wide)
+        assert wide or n == 2
+
+
 def test_kink_crossing_step_counts_stay_pinned():
     """Rows that cross x = 1 land on the kink instead of being rejected
     across it: the attempted and rejected row steps of a small batch,
@@ -431,3 +491,14 @@ def test_t_max_validation():
     x = _pt(RIGID, (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         flow_map(RIGID, x, 500.0)
+
+
+@pytest.mark.parametrize("times", ([1.0], [-1.0], [0.5, 1.0, 2.0],
+                                   [-0.25, -0.5, -3.0]))
+def test_empty_batches_return_at_once(times):
+    """A batch of no points takes no step and returns (0, m, d)."""
+    with mock.patch.object(integrate, "_rk_step",
+                           side_effect=AssertionError("stepped")):
+        for flow in (TORUS, CAT, RIGID):
+            got = orbit_batch(flow, np.empty((0, 3)), times)
+            assert got.shape == (0, len(times), 3)
