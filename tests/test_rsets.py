@@ -9,11 +9,12 @@ widths, and separation horizons in closed form.
 
 import csv
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import reversed_flow
@@ -531,6 +532,50 @@ def test_uef_vacuous():
     pts = sample_points(RIGID, 2, seed=46)
     rep = uniform_expansiveness_scan(RIGID, pts, 0.15, 0.1, 1.0, 5)
     assert rep.vacuous and rep.N_eta == 0
+
+
+@settings(max_examples=12, deadline=None)
+@given(eta=st.floats(0.002, 0.09), n_dirs=st.integers(1, 23),
+       seed=st.integers(0, 2**31 - 1))
+def test_uef_cat_witnesses_match_closed_form(eta, n_dirs, seed):
+    """On the suspension a section offset u is carried to A^i u after i
+    unit steps (A^-i u backward), so a pair first separates at the least
+    i >= 1 with max(|A^i u|, |A^-i u|) > beta."""
+    beta, budget = 0.1, 12
+    powers = [np.linalg.matrix_power(CAT_MATRIX, i) for i in range(1, budget + 1)]
+    powers_inv = [np.linalg.inv(a) for a in powers]
+    expected = []
+    for d in range(n_dirs):
+        ang = 2.0 * np.pi * d / n_dirs
+        u = 1.02 * eta * np.array([math.cos(ang), math.sin(ang)])
+        grow = np.array([max(np.linalg.norm(a @ u), np.linalg.norm(b @ u))
+                         for a, b in zip(powers, powers_inv)])
+        assume(np.all(np.abs(grow - beta) > 1e-6 * beta))
+        expected.append(1 + int(np.argmax(grow > beta)))
+    pts = sample_points(CAT, 3, seed=seed)
+    rep = uniform_expansiveness_scan(CAT, pts, eta, beta, 1.0, budget,
+                                     n_directions=n_dirs)
+    assert rep.witnesses == [(p, d, n) for p in range(3)
+                             for d, n in enumerate(expected)]
+    assert rep.N_eta == max(expected) and rep.skipped_pairs == 0
+
+
+def test_uef_rigid_exhausted_pair_is_the_first_direction():
+    """No pair separates under the isometric flow: the first pair tried,
+    point 0 and its direction-0 section point, is the one reported."""
+    pts = sample_points(RIGID, 2, seed=45)
+    eta, beta = 0.01, 0.1
+    y = section_point(RIGID, make_section(RIGID, pts[0], beta),
+                      1.02 * eta * np.array([1.0, 0.0]))
+    pair = ([float(v) for v in pts[0].coords], [float(v) for v in y.coords])
+    rep = uniform_expansiveness_scan(RIGID, pts, eta, beta, 1.0, 6,
+                                     n_directions=3, on_budget="report")
+    assert rep.exhausted_pair == pair and rep.witnesses == []
+    with pytest.raises(BudgetExhausted) as exc:
+        uniform_expansiveness_scan(RIGID, pts, eta, beta, 1.0, 6,
+                                   n_directions=3)
+    x, y_raised = exc.value.witness
+    assert (list(x.coords), list(y_raised.coords)) == pair
 
 
 # ------------------------------------------------------- contraction of members
