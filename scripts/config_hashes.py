@@ -14,7 +14,12 @@ given worker count, with its output directory moved to ``DIR/<config>``
 because it records wall time. Each demo runs in a fresh interpreter, in
 an empty working directory under ``DIR``, and lists one
 ``demos/<stem>/stdout <sha256>`` line for its standard output. The
-listing is sorted. ``--repo`` names the checkout whose ``src``,
+listing is sorted, after one header line naming the Python and numpy
+versions that made it, so with no NAME it is ``configs/HASHES.txt``::
+
+    python scripts/config_hashes.py > configs/HASHES.txt
+
+``--repo`` names the checkout whose ``src``,
 ``configs`` and ``demos`` are used (default: the one holding this
 script), so two commits compare with one ``diff`` of two listings. The
 wall time of each run goes to standard error as one ``<name> <seconds>``
@@ -33,6 +38,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 
 def _sha256(data: bytes) -> str:
@@ -87,7 +94,8 @@ def main(argv=None) -> int:
         if code != 0:
             failed.append(f"{name} exited {code}")
         lines += listed
-    print("\n".join(sorted(lines)))
+    header = f"# python {sys.version.split()[0]} numpy {np.__version__}"
+    print("\n".join([header] + sorted(lines)))
     for msg in failed:
         print(f"config_hashes: {msg}", file=sys.stderr)
     return 1 if failed else 0

@@ -234,15 +234,6 @@ def _write_json(path, payload):
 
 # ------------------------------------------------------------------ experiments
 
-def _sample_kwargs(p):
-    kw = {}
-    if p["x_range"] is not None:
-        kw["x_range"] = tuple(p["x_range"])
-    if p["disk_radius_max"] is not None:
-        kw["disk_radius_max"] = float(p["disk_radius_max"])
-    return kw
-
-
 def _run_holonomy(config, p, outdir):
     flow = get_flow(config.flow)
     beta, domain_frac, tol = (float(p[k]) for k in ("beta", "domain_frac", "tol"))
@@ -250,7 +241,9 @@ def _run_holonomy(config, p, outdir):
     t_fixed, t_choices = p["t"], p["t_choices"]
     L = flow.rescale.L
 
-    bases = sample_points(flow, n_bases, seed=config.seed, **_sample_kwargs(p))
+    bases = sample_points(flow, n_bases, seed=config.seed,
+                          x_range=p["x_range"],
+                          disk_radius_max=p["disk_radius_max"])
     per_base = int(math.ceil(n_samples / n_bases))
 
     def work(item):
@@ -306,7 +299,9 @@ def _run_rset(config, p, outdir):
     directions = {"both": ("stable", "unstable")}.get(p["direction"],
                                                       (p["direction"],))
 
-    pts = sample_points(flow, n_points, seed=config.seed, **_sample_kwargs(p))
+    pts = sample_points(flow, n_points, seed=config.seed,
+                        x_range=p["x_range"],
+                        disk_radius_max=p["disk_radius_max"])
     tasks = [(i, x, d) for i, x in enumerate(pts) for d in directions]
 
     def work(task):
@@ -348,7 +343,9 @@ def _run_expansivity(config, p, outdir):
     beta, t, tol = (float(p[k]) for k in ("beta", "t", "tol"))
     n_max, resolution, n_points = (int(p[k]) for k in
                                    ("n_max", "resolution", "n_points"))
-    pts = sample_points(flow, n_points, seed=config.seed, **_sample_kwargs(p))
+    pts = sample_points(flow, n_points, seed=config.seed,
+                        x_range=p["x_range"],
+                        disk_radius_max=p["disk_radius_max"])
 
     def work(chunk):
         return check_expansivity(flow, chunk, beta, t, n_max, resolution,
@@ -379,7 +376,9 @@ def _run_expansivity(config, p, outdir):
 
 def _run_entropy(config, p, outdir):
     flow = get_flow(config.flow)
-    spec = {"count": int(p["count"]), "seed": config.seed, **_sample_kwargs(p)}
+    spec = {"count": int(p["count"]), "seed": config.seed,
+            **{k: p[k] for k in ("x_range", "disk_radius_max")
+               if p[k] is not None}}
     grid, jitter = p["grid"], p["jitter"]
     if grid is not None:
         spec["grid"] = [int(v) for v in grid]
@@ -400,7 +399,9 @@ def _run_uef(config, p, outdir):
     eta, beta, t, tol = (float(p[k]) for k in ("eta", "beta", "t", "tol"))
     budget, n_points, n_dirs = (int(p[k]) for k in
                                 ("horizon_budget", "n_points", "n_directions"))
-    pts = sample_points(flow, n_points, seed=config.seed, **_sample_kwargs(p))
+    pts = sample_points(flow, n_points, seed=config.seed,
+                        x_range=p["x_range"],
+                        disk_radius_max=p["disk_radius_max"])
     rep = uniform_expansiveness_scan(flow, pts, eta, beta, t, budget,
                                      n_directions=n_dirs, tol=tol,
                                      on_budget="report")

@@ -341,12 +341,9 @@ def entropy_estimate(f: FlowSpec, sample_spec: dict, eps_list, t_list,
         sample_spec = dict(sample_spec, count=n)
     else:
         n = int(sample_spec["count"])
-        kw = {}
-        if sample_spec.get("x_range") is not None:
-            kw["x_range"] = tuple(sample_spec["x_range"])
-        if sample_spec.get("disk_radius_max") is not None:
-            kw["disk_radius_max"] = float(sample_spec["disk_radius_max"])
-        pts = sample_points(f, n, seed=seed, **kw)
+        pts = sample_points(f, n, seed=seed,
+                            x_range=sample_spec.get("x_range"),
+                            disk_radius_max=sample_spec.get("disk_radius_max"))
         coords = np.stack([p.coords for p in pts])
 
     cache = _OrbitCache(f, coords, max(t_list), orbit_step,

@@ -263,12 +263,13 @@ def field_norm(f: FlowSpec, x: Point) -> float:
 
 
 def sample_points(f: FlowSpec, n: int, seed: int = 0, x_range=None,
-                  disk_radius_max: float = 0.6):
+                  disk_radius_max=None):
     """Seeded sample of canonical points, away from chart boundaries.
 
     For the solid-torus chart flows ``x_range = (lo, hi)`` restricts |x| to
-    [lo, hi] (both signs); default covers the whole circle. The suspension
-    samples the unit cube.
+    [lo, hi] (both signs); default covers the whole circle. Points lie
+    within ``disk_radius_max`` (default 0.6) of the core circle. The
+    suspension samples the unit cube.
     """
     rng = np.random.default_rng(seed)
     m = f.manifold
@@ -283,6 +284,8 @@ def sample_points(f: FlowSpec, n: int, seed: int = 0, x_range=None,
         mag = rng.uniform(lo, hi, size=n)
         sign = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
         x = mag * sign
+    if disk_radius_max is None:
+        disk_radius_max = 0.6
     r = disk_radius_max * np.sqrt(rng.uniform(size=n))
     th = rng.uniform(0.0, 2.0 * np.pi, size=n)
     raw = np.stack([x, r * np.cos(th), r * np.sin(th)], axis=1)

@@ -14,9 +14,9 @@ its distance to the reference orbit is exactly zero at every step.
 "For all n" is truncated at n_max. When the base orbit leaves the regular
 region before n_max (the field norm underflows or the step budget runs
 out), the grid reports the horizon actually certified; cells alive at
-truncation stay members at that horizon and are tallied separately from
-cells that failed the tolerance, so a trivial set is distinguishable from
-an undecidable region.
+truncation stay members at that horizon. ``truncation_reason`` names the
+truncation, and a cell with ``fail_step > horizon_certified`` was alive at
+it, so a trivial set stays distinguishable from an undecidable region.
 """
 
 from __future__ import annotations
@@ -106,14 +106,7 @@ class RSetGrid:
     def counts(self):
         states, freq = np.unique(self.error_state, return_counts=True)
         tally = {ERROR_NAMES[int(s)]: int(c) for s, c in zip(states, freq)}
-        return {
-            "members": int(np.sum(self.membership)),
-            "cells": int(self.membership.size),
-            "undecided_at_truncation": int(np.sum(
-                self.membership & (self.fail_step > self.params["n_max"]))
-            ) if self.truncation_reason else 0,
-            "error_states": tally,
-        }
+        return {"members": int(np.sum(self.membership)), "error_states": tally}
 
     def to_csv(self, path):
         # (component, member, error state) as one key: each distinct row
@@ -154,8 +147,6 @@ class UniformExpansivenessReport:
 
 @dataclass
 class ExpansivityVerdict:
-    flow_name: str
-    points: list
     per_point: list   # dicts: point, trivial, witness (or None), member counts
     overall: str      # "consistent-with-R-expansive" | "counterexample-found"
 
@@ -497,8 +488,7 @@ def check_expansivity(f: FlowSpec, points, beta: float, t: float, n_max: int,
             "unstable_horizon": gu.horizon_certified,
         }
         per_point.append(entry)
-    return ExpansivityVerdict(flow_name=f.name, points=list(points),
-                              per_point=per_point, overall=overall)
+    return ExpansivityVerdict(per_point=per_point, overall=overall)
 
 
 def uniform_expansiveness_scan(f: FlowSpec, sample_points, eta: float,
@@ -509,11 +499,13 @@ def uniform_expansiveness_scan(f: FlowSpec, sample_points, eta: float,
     """Smallest two-sided horizon separating eta-distant section points.
 
     For each sampled x, points y at distance just above eta on the section
-    are walked through the holonomy maps in both directions until
-    d(P_i(x), P_i(y)) >= beta * ||X(P_i(x))||; N_eta is the largest first
-    separation index over all pairs. A pair that never separates within
-    horizon_budget raises BudgetExhausted (or is recorded as the failure
-    witness with on_budget="report").
+    are carried through the holonomy maps: x's directions ride one batch per
+    sign, under the grid's membership test at tolerance beta, and a pair
+    separates at the first step where d(P_i(x), P_i(y)) > beta * ||X(P_i(x))||
+    in either direction. N_eta is the largest first separation index over
+    all pairs. A pair that never separates within horizon_budget raises
+    BudgetExhausted (or is recorded as the failure witness with
+    on_budget="report"), the first such pair in direction order.
     """
     pts = list(sample_points)
     norms = np.array([field_norm(f, p) for p in pts])
@@ -532,26 +524,29 @@ def uniform_expansiveness_scan(f: FlowSpec, sample_points, eta: float,
     witnesses = []
     skipped = 0
     N_eta = 0
-    r_factor = 1.02
+    r_y = 1.02 * eta
+    angles = 2.0 * np.pi * np.arange(n_directions) / n_directions
+    # row 0 is the base, row 1 + d the point in direction d
+    rows = np.array([(0.0, 0.0)] + [(r_y * math.cos(a), r_y * math.sin(a))
+                                    for a in angles])
     for p_idx, x in enumerate(pts):
         sec = make_section(f, x, beta)
-        r_y = r_factor * eta
         if r_y >= sec.radius:
             skipped += n_directions
             continue
-        angles = 2.0 * np.pi * np.arange(n_directions) / n_directions
-        for d_idx, ang in enumerate(angles):
-            u0 = r_y * np.array([math.cos(ang), math.sin(ang)])
-            n_sep = _first_separation(f, x, sec, u0, beta, t, horizon_budget, tol)
-            if n_sep is None:
+        # a pair separates at its first failed step in either direction
+        first = np.minimum(*(
+            _propagate_points(f, sec, t, rows, sign, horizon_budget, beta,
+                              beta, tol=tol).fail_step[1:] for sign in (1, -1)))
+        for d_idx, n_sep in enumerate(first.tolist()):
+            if n_sep > horizon_budget:
+                y = section_point(f, sec, rows[1 + d_idx])
                 if on_budget == "report":
-                    y = section_point(f, sec, u0)
                     return UniformExpansivenessReport(
                         A=A, eta=eta, beta=beta, t=t,
                         N_eta=None, witnesses=witnesses, skipped_pairs=skipped,
                         exhausted_pair=([float(v) for v in x.coords],
                                         [float(v) for v in y.coords]))
-                y = section_point(f, sec, u0)
                 raise BudgetExhausted(
                     f"{f.name}: pair never separated within {horizon_budget} steps",
                     witness=(x, y))
@@ -560,40 +555,3 @@ def uniform_expansiveness_scan(f: FlowSpec, sample_points, eta: float,
     return UniformExpansivenessReport(
         A=A, eta=eta, beta=beta, t=t, N_eta=N_eta,
         witnesses=witnesses, skipped_pairs=skipped, exhausted_pair=None)
-
-
-def _first_separation(f, x, sec, u0, beta, t, budget, tol):
-    """First |i| with d(P_i(x), P_i(y)) >= beta * ||X(P_i(x))||, else None."""
-    m = f.manifold
-    y0 = sec.frame.base.coords + u0 @ sec.frame.axes
-    d0 = float(m.distance_array(x.coords, m.wrap_array(y0)))
-    if d0 >= beta * sec.base_field_norm * (1 - 1e-9):
-        return 0
-    states = {}
-    for sign in (1, -1):
-        # the pair's step sizes carry from one horizon to the next
-        states[sign] = {"pair": m.wrap_array(np.vstack([x.coords, y0])),
-                        "steps": np.full(2, np.nan), "dead": False}
-    for i in range(1, budget + 1):
-        for sign in (1, -1):
-            st = states[sign]
-            if st["dead"]:
-                continue
-            try:
-                nxt = orbit_batch(f, st["pair"], np.array([sign * t]), tol=tol,
-                                  steps=st["steps"])[:, 0, :]
-            except Timeout:
-                st["dead"] = True
-                continue
-            bx, by = nxt[0], nxt[1]
-            n_x = float(np.linalg.norm(f.field(bx)))
-            if n_x <= SINGULAR_NORM:
-                st["dead"] = True
-                continue
-            d = float(m.distance_array(bx, by))
-            if d >= beta * n_x * (1 - 1e-9):
-                return i
-            st["pair"] = nxt
-        if states[1]["dead"] and states[-1]["dead"]:
-            return None
-    return None

@@ -4,11 +4,43 @@ None of these is reached by a command, demo or acceptance criterion, so
 they live beside the tests rather than in the package.
 """
 
+import hashlib
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 import rflowlab.entropy as ent
+
+
+HASHES = Path(__file__).resolve().parents[1] / "configs" / "HASHES.txt"
+
+
+def pinned_hashes():
+    """``configs/HASHES.txt`` as a dict from each listed name (``<config>/
+    <file>`` or ``demos/<stem>/stdout``) to its SHA-256, and a note that
+    names the listing's Python and numpy versions when this interpreter
+    runs others (empty when they agree)."""
+    header, *lines = HASHES.read_text().splitlines()
+    here = f"# python {sys.version.split()[0]} numpy {np.__version__}"
+    note = "" if header == here else \
+        f"listing made under {header[2:]}, this run under {here[2:]}\n"
+    return dict(line.rsplit(" ", 1) for line in lines), note
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def listing_diff(pinned: dict, got: dict) -> str:
+    """The listing lines that differ: ``- name sha`` as pinned, ``+ name sha``
+    as got, by name."""
+    return "\n".join(f"{sign} {name} {side[name]}"
+                     for name in sorted(pinned.keys() | got.keys())
+                     if pinned.get(name) != got.get(name)
+                     for sign, side in (("-", pinned), ("+", got))
+                     if name in side)
 
 
 def reversed_flow(f):

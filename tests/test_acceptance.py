@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import listing_diff, pinned_hashes, sha256
 from rflowlab.cli import load_config, run
 from rflowlab.flows import CAT_MATRIX, LAMBDA_MINUS, LAMBDA_PLUS, get_flow
 from rflowlab.rsets import membership_predicate
@@ -177,6 +178,29 @@ def test_criterion_09_entropy_zero_controls(runs):
     assert torus["verdict"] <= 0.05
     _report(9, "entropy-zero-controls",
             f"rigid={rigid['verdict']:.2e}, torus={torus['verdict']:.4f}")
+
+
+def test_config_outputs_match_the_pinned_hashes(runs):
+    """Every file the single-worker runs wrote, ``manifest.json`` left out
+    (it records wall time), has the SHA-256 that ``configs/HASHES.txt``
+    lists; on a mismatch the message shows the changed lines. A change that
+    moves bytes regenerates the file with ``scripts/config_hashes.py`` and
+    explains each changed line in CHANGES.md.
+
+    The listing's header names the Python and numpy versions it was made
+    with. Under other versions the test compares all the same and fails on
+    any moved byte, with both versions named in its message: outputs that
+    move with the toolchain are changed numbers too, and are regenerated
+    and explained the same way.
+    """
+    pinned, note = pinned_hashes()
+    pinned = {k: v for k, v in pinned.items() if not k.startswith("demos/")}
+    got = {f"{name[:-5]}/{path.relative_to(info['dir'])}":
+           sha256(path.read_bytes())
+           for name, info in runs.items()
+           for path in sorted(info["dir"].rglob("*"))
+           if path.is_file() and path.name != "manifest.json"}
+    assert got == pinned, note + listing_diff(pinned, got)
 
 
 def test_criterion_10_determinism_across_workers(runs, tmp_path_factory):
