@@ -52,9 +52,9 @@ print("\ngroup property gap:", cat.manifold.distance(one, two))
 # Dense sampling of a rigid orbit: transverse coordinates never move.
 rigid = get_flow("rigid_rotation")
 z = rigid.manifold.wrap((0.0, 0.5, 0.0))
-seg = orbit(rigid, z, np.linspace(0.0, 4.0, 9))
+pts = orbit(rigid, z, np.linspace(0.0, 4.0, 9))
 print("\nrigid rotation, (y, z) along one period:",
-      {tuple(np.round(p.coords[1:], 12)) for p in seg.points})
+      {tuple(np.round(p.coords[1:], 12)) for p in pts})
 print("eval_field at the singular disk:",
       torus.field(torus.manifold.wrap((0.0, 0.1, 0.0)).coords))
 print("x(ln 2) from 0.5 =", flow_map(torus, torus.manifold.wrap((0.5, 0, 0)),

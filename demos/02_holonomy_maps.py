@@ -41,7 +41,8 @@ q = section_point(torus, secp, (0.004, 0.0))
 orb = holonomy_orbit(torus, p, 0.1, 1.0, 12, q)
 print("\nsolid torus: transverse offset vs shrinking section radius")
 for k, r in enumerate(orb.results, start=1):
-    print(f"  n={k:2d}  d = {r.distance_to_base:.3e}   radius = {r.target.radius:.3e}")
+    d = torus.manifold.distance(r.target.base, r.image)
+    print(f"  n={k:2d}  d = {d:.3e}   radius = {r.target.radius:.3e}")
 if orb.error is not None:
     print("stopped at step", orb.error_step, "->", type(orb.error).__name__,
           "(the offset outlives the rescaled radius)")

@@ -1,26 +1,28 @@
-"""Time two checkouts on one benchmark workload, round by round, in one process.
+"""Time two checkouts on benchmark workloads, round by round, in one process.
 
 Usage::
 
-    python scripts/ab_rounds.py A B [--workload NAME] [--rounds N]
+    python scripts/ab_rounds.py A B [--workload NAME|all] [--rounds N]
                                 [--seed N] [--out DIR]
 
 A and B are two checkouts of this repository (say, a parent commit and a
 change). Each one's ``src/rflowlab`` is loaded under its own package name
 (``rflowlab_a``, ``rflowlab_b``) in this one process. The workload is one
 of ``perfbench/bench_workloads.py`` (default ``rset-suspension``), read
-from the checkout that holds this script; its config is built with each
-side's own ``cli.ExperimentConfig``, at ``workers=1``.
+from the checkout that holds this script, or ``all``: every workload in
+turn, each with its own rounds and its own block of results. A
+workload's config is built with each side's own ``cli.ExperimentConfig``,
+at ``workers=1``.
 
 A round runs ``cli.run`` once on each side, in alternating order (A first
 in even rounds), each into a cleared directory ``DIR/a`` or ``DIR/b`` (a
 fresh temporary directory by default). Load on a shared host comes in
 spells longer than a round, so rounds taken back to back see about the
 same host speed, and the per-round ratio B/A cancels most of it. After
-the rounds, the script prints each side's median round time, the median
-B/A ratio with its quartiles, the rounds B won, and whether the two sides
-wrote byte-identical files in every round (``manifest.json``, which
-records wall time, left out).
+the rounds, the script prints a block of results: each side's median
+round time, the median B/A ratio with its quartiles, the rounds B won,
+and whether the two sides wrote byte-identical files in every round
+(``manifest.json``, which records wall time, left out).
 
 The exit status is 1 when a run does not exit 0.
 """
@@ -73,6 +75,34 @@ def _quartiles(values):
     return q1, q2, q3
 
 
+def _compare(sides, name, workload, rounds, seed, out, repos):
+    """Run ``rounds`` alternating rounds of one workload and print its
+    block of results; returns the messages of runs that did not exit 0."""
+    times = {"a": [], "b": []}
+    identical, failed = True, []
+    for r in range(rounds):
+        for side in ("ab" if r % 2 == 0 else "ba"):
+            dt, code = _timed_run(sides[side], workload, seed, out / side)
+            if code != 0:
+                failed.append(f"{name} round {r}: {side.upper()} exited {code}")
+            times[side].append(dt)
+        identical &= _files(out / "a") == _files(out / "b")
+        print(f"{name} round {r}: A {times['a'][-1]:.4f} s, "
+              f"B {times['b'][-1]:.4f} s", file=sys.stderr, flush=True)
+
+    ratios = [b / a for a, b in zip(times["a"], times["b"])]
+    r1, r2, r3 = _quartiles(ratios)
+    print(f"workload {name}, seed {seed}, {rounds} rounds")
+    for side, repo in zip("ab", repos):
+        print(f"{side.upper()} median {statistics.median(times[side]):.4f} s "
+              f"({repo})")
+    print(f"B/A median {r2:.3f} (quartiles {r1:.3f} .. {r3:.3f})")
+    print(f"B won {sum(b < a for a, b in zip(times['a'], times['b']))} "
+          f"of {rounds} rounds")
+    print(f"outputs byte-identical: {'yes' if identical else 'no'}", flush=True)
+    return failed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", type=Path, metavar="A")
@@ -87,35 +117,19 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(HERE.parent / "perfbench"))
     from bench_workloads import WORKLOADS
-    if args.workload not in WORKLOADS:
+    if args.workload != "all" and args.workload not in WORKLOADS:
         parser.error(f"unknown workload {args.workload!r}; "
-                     f"available: {', '.join(WORKLOADS)}")
-    workload = WORKLOADS[args.workload]
+                     f"available: all, {', '.join(WORKLOADS)}")
+    names = list(WORKLOADS) if args.workload == "all" else [args.workload]
     sides = {"a": _load("rflowlab_a", args.a), "b": _load("rflowlab_b", args.b)}
     out = args.out or Path(tempfile.mkdtemp(prefix="ab_rounds_"))
 
-    times = {"a": [], "b": []}
-    identical, failed = True, []
-    for r in range(args.rounds):
-        for side in ("ab" if r % 2 == 0 else "ba"):
-            dt, code = _timed_run(sides[side], workload, args.seed, out / side)
-            if code != 0:
-                failed.append(f"round {r}: {side.upper()} exited {code}")
-            times[side].append(dt)
-        identical &= _files(out / "a") == _files(out / "b")
-        print(f"round {r}: A {times['a'][-1]:.4f} s, B {times['b'][-1]:.4f} s",
-              file=sys.stderr, flush=True)
-
-    ratios = [b / a for a, b in zip(times["a"], times["b"])]
-    r1, r2, r3 = _quartiles(ratios)
-    print(f"workload {args.workload}, seed {args.seed}, {args.rounds} rounds")
-    for side, repo in (("a", args.a), ("b", args.b)):
-        print(f"{side.upper()} median {statistics.median(times[side]):.4f} s "
-              f"({repo})")
-    print(f"B/A median {r2:.3f} (quartiles {r1:.3f} .. {r3:.3f})")
-    print(f"B won {sum(b < a for a, b in zip(times['a'], times['b']))} "
-          f"of {args.rounds} rounds")
-    print(f"outputs byte-identical: {'yes' if identical else 'no'}")
+    failed = []
+    for i, name in enumerate(names):
+        if i:
+            print()
+        failed += _compare(sides, name, WORKLOADS[name], args.rounds,
+                           args.seed, out, (args.a, args.b))
     for msg in failed:
         print(f"ab_rounds: {msg}", file=sys.stderr)
     return 1 if failed else 0

@@ -202,6 +202,12 @@ def validate(config: ExperimentConfig):
         bad += [f"{k}={json.dumps(p[k])} exceeds T_MAX - beta = {t_top:.6g}"
                 for k in ("t", "t_choices")
                 if p[k] is not None and np.any(np.asarray(p[k]) > t_top)]
+    if config.command in ("holonomy", "rset", "expansivity"):
+        # these scale their sections by L^-t, and L holds for t >= t_min only
+        t_min = flow.rescale.t_min
+        bad += [f"{k}={json.dumps(p[k])} goes below the flow's t_min = {t_min:g}"
+                for k in ("t", "t_choices")
+                if p.get(k) is not None and np.any(np.asarray(p[k]) < t_min)]
     if config.command == "uef" and p["eta"] is None:
         bad.append("uef needs eta")
     return bad
@@ -347,13 +353,11 @@ def _run_expansivity(config, p, outdir):
                         x_range=p["x_range"],
                         disk_radius_max=p["disk_radius_max"])
 
-    def work(chunk):
-        return check_expansivity(flow, chunk, beta, t, n_max, resolution,
-                                 tol=tol).per_point
+    def work(x):
+        return check_expansivity(flow, [x], beta, t, n_max, resolution,
+                                 tol=tol).per_point[0]
 
-    chunks = [[x] for x in pts]
-    per_point = [e for res in _parallel_map(config.workers, work, chunks)
-                 for e in res]
+    per_point = _parallel_map(config.workers, work, pts)
     overall = "counterexample-found" if any(not e["trivial_intersection"]
                                             for e in per_point) \
         else "consistent-with-R-expansive"

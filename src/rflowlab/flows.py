@@ -19,11 +19,12 @@ Three built-in flows on flat model manifolds:
     Constant unit field (1, 0, 0) on the same solid torus chart. Holonomy
     is the identity on disks: the non-expansive, zero-entropy control.
 
-Each flow carries ``rescale`` constants (L, beta0): L bounds the one-time-
-unit growth of rescaled comparisons and beta0 caps the admissible section
-radius factor. For the suspension the expansion happens at the gluing
-crossing in one jump, so L must absorb one extra crossing over short times;
-the catalog uses the squared top eigenvalue, valid for time steps >= 1/2.
+Each flow carries ``rescale`` constants (L, beta0, t_min): L bounds the
+one-time-unit growth of rescaled comparisons over time steps of at least
+t_min, and beta0 caps the admissible section radius factor. For the
+suspension the expansion happens at the gluing crossing in one jump, so L
+must absorb one extra crossing over short times; the catalog uses the
+squared top eigenvalue, with t_min = 1/2.
 """
 
 from __future__ import annotations
@@ -47,10 +48,12 @@ FLOW_NAMES = ("solid_torus", "cat_suspension", "rigid_rotation")
 
 @dataclass(frozen=True)
 class RescaleConstants:
-    """Per-unit-time expansion bound L >= 1 and maximal section factor beta0."""
+    """Per-unit-time expansion bound L >= 1, maximal section factor beta0,
+    and the least time step t_min for which L holds."""
 
     L: float
     beta0: float
+    t_min: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,7 @@ class FlowSpec:
                                           # A batch whose points all get the same value
                                           # may get a read-only view with row stride 0;
                                           # callers never write into a result
-    singular_set_description: str
-    singular_predicate: Callable          # vectorized (..., d) -> bool array
+    singular_set_description: str         # where ||X|| <= sections.SINGULAR_NORM
     rescale: RescaleConstants
     analytic_holonomy: Optional[Callable] = None   # (base, t, u) -> image coords
     known_entropy: Optional[float] = None
@@ -184,75 +186,45 @@ def _disk_isometric_holonomy(base: Point, t: float, u):
 
 # -------------------------------------------------------------------- catalog
 
-def _build_solid_torus() -> FlowSpec:
-    def singular(coords):
-        coords = np.asarray(coords, dtype=float)
-        return _rho(coords[..., 0]) < 1e-12
-
-    return FlowSpec(
+_CATALOG = {f.name: f for f in (
+    FlowSpec(
         name="solid_torus",
         manifold=solid_torus_manifold(),
         field=_solid_torus_field,
         singular_set_description="the disk {0} x D where the speed profile vanishes",
-        singular_predicate=singular,
         rescale=RescaleConstants(L=math.e, beta0=0.25),
         analytic_holonomy=_disk_isometric_holonomy,
         known_entropy=0.0,
         switch=_solid_torus_switch,
-    )
-
-
-def _build_cat_suspension() -> FlowSpec:
-    def singular(coords):
-        coords = np.asarray(coords, dtype=float)
-        return np.zeros(coords.shape[:-1], dtype=bool)
-
-    return FlowSpec(
+    ),
+    FlowSpec(
         name="cat_suspension",
         manifold=cat_suspension_manifold(),
         field=_constant_field((0.0, 0.0, 1.0)),
         singular_set_description="empty (unit suspension field)",
-        singular_predicate=singular,
         # One gluing crossing multiplies transverse offsets by up to
         # lambda_plus in a single jump; L = lambda_plus**2 makes the shrunken
-        # holonomy domain valid for every time step t >= 1/2.
-        rescale=RescaleConstants(L=LAMBDA_PLUS**2, beta0=0.25),
+        # holonomy domain valid for every time step t >= t_min = 1/2.
+        rescale=RescaleConstants(L=LAMBDA_PLUS**2, beta0=0.25, t_min=0.5),
         analytic_holonomy=_cat_holonomy,
         known_entropy=math.log(LAMBDA_PLUS),
-    )
-
-
-def _build_rigid_rotation() -> FlowSpec:
-    def singular(coords):
-        coords = np.asarray(coords, dtype=float)
-        return np.zeros(coords.shape[:-1], dtype=bool)
-
-    return FlowSpec(
+    ),
+    FlowSpec(
         name="rigid_rotation",
         manifold=solid_torus_manifold(),
         field=_constant_field((1.0, 0.0, 0.0)),
         singular_set_description="empty (constant unit field)",
-        singular_predicate=singular,
         rescale=RescaleConstants(L=1.0, beta0=0.25),
         analytic_holonomy=_disk_isometric_holonomy,
         known_entropy=0.0,
-    )
-
-
-_CATALOG = {}
+    ),
+)}
 
 
 def get_flow(name: str) -> FlowSpec:
     """Look up a built-in flow by name."""
     if name not in _CATALOG:
-        builders = {
-            "solid_torus": _build_solid_torus,
-            "cat_suspension": _build_cat_suspension,
-            "rigid_rotation": _build_rigid_rotation,
-        }
-        if name not in builders:
-            raise KeyError(f"unknown flow {name!r}; available: {FLOW_NAMES}")
-        _CATALOG[name] = builders[name]()
+        raise KeyError(f"unknown flow {name!r}; available: {FLOW_NAMES}")
     return _CATALOG[name]
 
 

@@ -79,14 +79,6 @@ _D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 
 
 @dataclass
-class OrbitSegment:
-    """Dense orbit samples: strictly monotone times, canonical points."""
-
-    times: np.ndarray
-    points: list
-
-
-@dataclass
 class CrossingEvent:
     """A located section-plane crossing."""
 
@@ -198,24 +190,11 @@ def flow_map(f, x: Point, t: float, tol: float = DEFAULT_TOL) -> Point:
     return Point(_readonly(y))
 
 
-def _states_at(f, coords, times, tol):
-    """Wrapped states of one orbit at strictly increasing times of any sign."""
-    out = np.empty((times.size, coords.size))
-    neg = times < 0
-    if np.any(neg):
-        out[neg] = orbit_batch(f, coords[None], times[neg][::-1], tol)[0, ::-1]
-    if not np.all(neg):
-        out[~neg] = orbit_batch(f, coords[None], times[~neg], tol)[0]
-    return out
-
-
-def orbit(f, x: Point, times, tol: float = DEFAULT_TOL) -> OrbitSegment:
-    """Sample the orbit of x at strictly monotone times (any sign, 0 allowed)."""
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
-    states = _states_at(f, x.coords, times, tol)
-    return OrbitSegment(times=times, points=[Point(_readonly(s)) for s in states])
+def orbit(f, x: Point, times, tol: float = DEFAULT_TOL) -> list:
+    """The orbit of x as canonical points at ``times``, which take one sign
+    and are monotone away from zero (0 allowed), as in ``orbit_batch``."""
+    return [Point(_readonly(s))
+            for s in orbit_batch(f, x.coords[None], times, tol)[0]]
 
 
 def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):

@@ -17,6 +17,11 @@ out), the grid reports the horizon actually certified; cells alive at
 truncation stay members at that horizon. ``truncation_reason`` names the
 truncation, and a cell with ``fail_step > horizon_certified`` was alive at
 it, so a trivial set stays distinguishable from an undecidable region.
+
+Results carry what their callers read. A grid holds its cells' states, the
+certified horizon and its section; the beta, t and n_max that made it stay
+with the caller, as do the eta, beta and t of a uniform-expansiveness
+report. A rescaled dynamical ball is returned as its membership grid.
 """
 
 from __future__ import annotations
@@ -79,12 +84,11 @@ def _rows_format(res: int, w: float):
 
 @dataclass
 class RSetGrid:
-    """Membership grid for a local R-stable or R-unstable set."""
+    """Membership grid of a local R-stable or R-unstable set, or of a
+    rescaled dynamical ball."""
 
     section: CrossSection
     resolution: int
-    direction: str
-    params: dict
     membership: np.ndarray        # (res, res) bool
     component_labels: np.ndarray  # (res, res) int, -1 outside members
     fail_step: np.ndarray         # first violated step; horizon+1 if never
@@ -92,7 +96,6 @@ class RSetGrid:
     horizon_certified: int
     truncation_reason: Optional[str]
     cellwidth: float
-    base_norms: np.ndarray        # ||X|| along the base chain, length horizon+1
 
     @property
     def center(self):
@@ -123,21 +126,8 @@ class RSetGrid:
 
 
 @dataclass
-class DynamicalBall:
-    """One-sided rescaled dynamical ball on a cross-section grid."""
-
-    section: CrossSection
-    n: int
-    epsilon: float
-    grid: RSetGrid
-
-
-@dataclass
 class UniformExpansivenessReport:
     A: float
-    eta: float
-    beta: float
-    t: float
     N_eta: Optional[int]
     witnesses: list                  # (point_index, direction_index, N)
     skipped_pairs: int
@@ -157,7 +147,6 @@ class _Propagation:
     error_state: np.ndarray
     horizon: int
     truncation_reason: Optional[str]
-    base_norms: np.ndarray
     tracks: Optional[list]  # per step: (alive flat indices, positions)
 
 
@@ -192,7 +181,6 @@ def _propagate_points(f: FlowSpec, section: CrossSection, t: float,
 
     alive_idx = np.flatnonzero(valid)
     Y = m.wrap_array(raw[alive_idx])
-    base_norms = [section.base_field_norm]
     horizon = n_max
     trunc = None
     step_t = sign * t
@@ -239,17 +227,16 @@ def _propagate_points(f: FlowSpec, section: CrossSection, t: float,
         alive_idx = alive_idx[keep]
         Y = Y_new[keep]
         steps = steps[keep]
-        base_norms.append(n_x)
         if record_tracks:
             tracks.append((alive_idx.copy(), Y.copy()))
 
     return _Propagation(fail_step=fail_step, error_state=error_state,
                         horizon=horizon, truncation_reason=trunc,
-                        base_norms=np.array(base_norms), tracks=tracks)
+                        tracks=tracks)
 
 
 def _march_grid(f, section, resolution, t, sign, n_max, tolerance_factor,
-                beta, direction, tol) -> RSetGrid:
+                beta, tol) -> RSetGrid:
     """The membership grid over ``section``, components not yet labelled.
 
     In-disk cells are propagated as one batch with the center cell as row
@@ -278,14 +265,11 @@ def _march_grid(f, section, resolution, t, sign, n_max, tolerance_factor,
         & (error_state != CELL_OUTSIDE_SECTION) \
         & (error_state != CELL_OUT_OF_MANIFOLD)
     return RSetGrid(
-        section=section, resolution=res, direction=direction,
-        params={"beta": beta, "t": t, "n_max": n_max,
-                "tolerance_factor": tolerance_factor},
-        membership=membership,
+        section=section, resolution=res, membership=membership,
         component_labels=np.full((res, res), -1, dtype=int),
         fail_step=fail_step, error_state=error_state,
         horizon_certified=run.horizon, truncation_reason=run.truncation_reason,
-        cellwidth=w, base_norms=run.base_norms,
+        cellwidth=w,
     )
 
 
@@ -313,7 +297,7 @@ def compute_rset(f: FlowSpec, x: Point, beta: float, t: float, n_max: int,
     section = make_section(f, x, domain_factor)
     grid = _march_grid(f, section, resolution, t,
                        1 if direction == "stable" else -1, n_max,
-                       domain_factor, beta, direction, tol)
+                       domain_factor, beta, tol)
     if with_components:
         connected_component(grid)
     return grid
@@ -348,13 +332,9 @@ def connected_component(g: RSetGrid) -> RSetGrid:
     return g
 
 
-def cw_label(g: RSetGrid) -> int:
-    return int(g.component_labels[g.center])
-
-
 def cw_cells(g: RSetGrid):
     """Boolean mask of the center cell's component."""
-    return g.component_labels == cw_label(g)
+    return g.component_labels == g.component_labels[g.center]
 
 
 def sphere_reach(g: RSetGrid, gamma: float) -> bool:
@@ -374,8 +354,9 @@ def sphere_reach(g: RSetGrid, gamma: float) -> bool:
 
 
 def dynamical_ball(f: FlowSpec, x: Point, n: int, epsilon: float, t: float,
-                   resolution: int, tol: float = DEFAULT_TOL) -> DynamicalBall:
-    """The n-step forward rescaled dynamical ball on the section at x.
+                   resolution: int, tol: float = DEFAULT_TOL) -> RSetGrid:
+    """The n-step forward rescaled dynamical ball on the section at x, as
+    its membership grid (components labelled).
 
     Domain and tolerance both use the un-shrunken factor epsilon; the i = 0
     condition is the section-disk membership itself.
@@ -385,10 +366,8 @@ def dynamical_ball(f: FlowSpec, x: Point, n: int, epsilon: float, t: float,
     if epsilon > f.rescale.beta0 + 1e-12:
         raise BetaTooLarge(f"epsilon={epsilon} exceeds beta0={f.rescale.beta0}")
     section = make_section(f, x, epsilon)
-    grid = _march_grid(f, section, resolution, t, 1, n, epsilon, epsilon,
-                       "ball", tol)
-    connected_component(grid)
-    return DynamicalBall(section=section, n=n, epsilon=epsilon, grid=grid)
+    return connected_component(
+        _march_grid(f, section, resolution, t, 1, n, epsilon, epsilon, tol))
 
 
 def membership_predicate(f: FlowSpec, x: Point, beta: float, t: float,
@@ -515,8 +494,7 @@ def uniform_expansiveness_scan(f: FlowSpec, sample_points, eta: float,
     if eta >= beta * float(np.max(norms)):
         # no section can hold a point at distance > eta: empty premise
         return UniformExpansivenessReport(
-            A=A, eta=eta, beta=beta, t=t, N_eta=0,
-            witnesses=[], skipped_pairs=len(pts) * n_directions,
+            A=A, N_eta=0, witnesses=[], skipped_pairs=len(pts) * n_directions,
             exhausted_pair=None, vacuous=True)
     if eta > beta * A + 1e-12:
         raise ValueError(f"eta={eta} must satisfy eta <= beta * A = {beta * A:.3g}")
@@ -543,8 +521,7 @@ def uniform_expansiveness_scan(f: FlowSpec, sample_points, eta: float,
                 y = section_point(f, sec, rows[1 + d_idx])
                 if on_budget == "report":
                     return UniformExpansivenessReport(
-                        A=A, eta=eta, beta=beta, t=t,
-                        N_eta=None, witnesses=witnesses, skipped_pairs=skipped,
+                        A=A, N_eta=None, witnesses=witnesses, skipped_pairs=skipped,
                         exhausted_pair=([float(v) for v in x.coords],
                                         [float(v) for v in y.coords]))
                 raise BudgetExhausted(
@@ -553,5 +530,5 @@ def uniform_expansiveness_scan(f: FlowSpec, sample_points, eta: float,
             witnesses.append((p_idx, d_idx, n_sep))
             N_eta = max(N_eta, n_sep)
     return UniformExpansivenessReport(
-        A=A, eta=eta, beta=beta, t=t, N_eta=N_eta,
-        witnesses=witnesses, skipped_pairs=skipped, exhausted_pair=None)
+        A=A, N_eta=N_eta, witnesses=witnesses, skipped_pairs=skipped,
+        exhausted_pair=None)

@@ -3,10 +3,12 @@
 A cross-section at a regular point x is the disk of radius beta * ||X(x)||
 in the hyperplane normal to the field, realized through the flat exp map.
 The holonomy over time t sends a point y near x on its section to the
-first crossing of the section rebuilt at phi_t(x); the result reports the
-image in the target frame's coordinates together with a flag recording
-whether the orbit segment stayed inside the rescaled tube
-d(phi_s(x), phi_s(y)) <= beta * ||X(phi_s(x))|| at sampled times.
+first crossing of the section rebuilt at phi_t(x). The result holds the
+image, its coordinates in the target frame, the hit time and residual,
+the target section, and a flag recording whether the orbit segment stayed
+inside the rescaled tube d(phi_s(x), phi_s(y)) <= beta * ||X(phi_s(x))||
+at sampled times. The image's distance to the target base is not stored:
+``f.manifold.distance(result.target.base, result.image)`` gives it.
 
 Frames along an orbit are kept continuous by seeding each Gram-Schmidt run
 with the previous frame's axes carried over in the chart. The seed is not
@@ -57,7 +59,6 @@ class HolonomyResult:
     tube_ok: bool
     image_coords: np.ndarray
     target: CrossSection
-    distance_to_base: float
     residual: float
 
 
@@ -116,12 +117,9 @@ def holonomy(f: FlowSpec, source: CrossSection, t: float, y: Point,
     w = max(target.radius, 1e-9)
     event = first_crossing(f, y, target, window=(t - w, t + w), tol=tol,
                            radius_slack=radius_slack)
-    d_img = float(f.manifold.distance_array(target_base.coords,
-                                            event.hit_point.coords))
     return HolonomyResult(image=event.hit_point, hit_time=event.hit_time,
                           tube_ok=tube_ok, image_coords=event.offset_coords,
-                          target=target, distance_to_base=d_img,
-                          residual=event.residual)
+                          target=target, residual=event.residual)
 
 
 def _tube_inequality_holds(f, source, y, t, tol):

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import rflowlab.entropy as ent
+from rflowlab.flows import get_flow
 
 
 HASHES = Path(__file__).resolve().parents[1] / "configs" / "HASHES.txt"
@@ -58,6 +59,29 @@ def reversed_flow(f):
 
     return replace(f, name=f.name + "_reversed", field=neg_field,
                    analytic_holonomy=rev_hol)
+
+
+def sheared_rotation():
+    """``rigid_rotation``'s chart under the field (1 + y^2, 0, 0).
+
+    Its orbits are (x + (1 + y^2) s, y, z), so every section is normal to
+    x and a section point's speed toward the target plane varies across
+    the section: its crossing time is ``sheared_hit_time``, and its offset
+    u comes back unchanged, as ``analytic_holonomy`` says."""
+    def field(coords):
+        coords = np.asarray(coords, dtype=float)
+        out = np.zeros_like(coords)
+        out[..., 0] = 1.0 + coords[..., 1] ** 2
+        return out
+
+    return replace(get_flow("rigid_rotation"), name="sheared_rotation",
+                   field=field)
+
+
+def sheared_hit_time(base_y, y, t):
+    """When the sheared rotation carries a point at height y to the plane
+    that a base at height base_y (and the same x) reaches at time t."""
+    return (1.0 + base_y ** 2) * t / (1.0 + y ** 2)
 
 
 def field_derivative_bound(f, points, step=1e-5):

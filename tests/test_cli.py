@@ -79,6 +79,9 @@ def test_unknown_param_key_exits_2(tmp_path, capsys):
     ("tube_torus.json", "t_choices=[1, 300]"),
     ("holonomy_cat.json", "t=199.99"),
     ("tube_torus.json", "t_choices=[1, 199.95]"),
+    ("holonomy_cat.json", "t=0.1"),
+    ("tube_cat.json", "t_choices=[0.25, 1.0]"),
+    ("expansivity_cat.json", "t=0.4"),
     ("uef_cat.json", "tol=-1"),
     ("uef_cat.json", "tol=NaN"),
     ("entropy_rigid.json", "orbit_step=0"),

@@ -36,19 +36,6 @@ def test_field_norms():
     assert field_norm(RIGID, _pt(RIGID, (1.7, 0.2, 0.1))) == pytest.approx(1.0)
 
 
-def test_singular_predicate_matches_field_norm():
-    rng = np.random.default_rng(2)
-    for flow in (TORUS, CAT, RIGID):
-        pts = np.stack([p.coords for p in sample_points(flow, 10_000, seed=4)])
-        # include exact singular points for the torus
-        if flow is TORUS:
-            pts[:50, 0] = 0.0
-        norms = np.linalg.norm(flow.field(pts), axis=-1)
-        pred = flow.singular_predicate(pts)
-        assert np.array_equal(pred, norms < 1e-12)
-    del rng
-
-
 def test_field_continuity_lipschitz():
     """||X(p) - X(q)|| <= Lip * d(p, q) on nearby random pairs."""
     rng = np.random.default_rng(9)
@@ -89,6 +76,7 @@ def test_rescale_invariants():
     for flow in (TORUS, CAT, RIGID):
         assert flow.rescale.L >= 1.0
         assert flow.rescale.beta0 > 0.0
+        assert flow.rescale.t_min == (0.5 if flow is CAT else 0.0)
 
 
 def test_reversed_flow_negates_field():
@@ -110,7 +98,6 @@ def test_singular_set_is_the_zero_disk():
 def test_speed_is_exact_near_the_singular_disk(x):
     # rho(x) = |x| on [-1, 1] must not round x to the float grid of x + 2
     assert TORUS.field(np.array([x, 0.0, 0.0]))[0] == min(abs(x), 1.0)
-    assert TORUS.singular_predicate(np.array([x, 0.0, 0.0])) == (abs(x) < 1e-12)
 
 
 def _batch(draw_kind, n, rng):

@@ -112,13 +112,22 @@ def test_against_scipy_oracle():
 
 
 def test_orbit_sampling_monotone():
+    """One backward and one forward call, each from time 0 away from it."""
     x = _pt(TORUS, (0.5, 0.1, 0.0))
-    times = np.array([-1.0, -0.5, 0.0, 0.25, 0.5])
-    seg = orbit(TORUS, x, times)
-    assert len(seg.points) == 5
-    assert np.allclose(seg.points[2].coords, x.coords, atol=1e-12)
-    xs = [p.coords[0] for p in seg.points]
+    back = orbit(TORUS, x, [0.0, -0.5, -1.0])
+    fwd = orbit(TORUS, x, [0.0, 0.25, 0.5])
+    assert len(back) == len(fwd) == 3
+    for seg in (back, fwd):
+        assert np.allclose(seg[0].coords, x.coords, atol=1e-12)
+    xs = [p.coords[0] for p in back[::-1] + fwd[1:]]
     assert all(np.diff(xs) > 0)  # rightward drift on (0, 1)
+
+
+@pytest.mark.parametrize("times", [[-1.0, 0.0, 0.5], [0.5, 0.0, -1.0],
+                                   [0.0, 0.5, 0.25]])
+def test_orbit_rejects_mixed_signs_and_unordered_times(times):
+    with pytest.raises(ValueError):
+        orbit(TORUS, _pt(TORUS, (0.5, 0.1, 0.0)), times)
 
 
 def test_orbit_batch_against_scipy_oracle():

@@ -8,7 +8,6 @@ widths, and separation horizons in closed form.
 """
 
 import csv
-import dataclasses
 import math
 from unittest import mock
 
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reversed_flow
+from oracles import reversed_flow, sheared_rotation
 from rflowlab import integrate, rsets
 from rflowlab.errors import BetaTooLarge, BudgetExhausted, GammaTooLarge, SingularBase
 from rflowlab.flows import CAT_MATRIX, LAMBDA_PLUS, get_flow, sample_points
@@ -198,13 +197,7 @@ def test_rows_carried_off_the_target_plane_fail_as_no_crossing():
     """A field whose speed along the section normal varies across the
     section carries rows off the target plane; each fails at step 1 as
     having no crossing, while the base travels on."""
-    def field(coords):
-        coords = np.asarray(coords, dtype=float)
-        out = np.zeros_like(coords)
-        out[..., 0] = 1.0 + coords[..., 1] ** 2
-        return out
-
-    f = dataclasses.replace(RIGID, name="sheared_rotation", field=field)
+    f = sheared_rotation()
     section = make_section(f, _pt(f, (0.3, 0.3, 0.0)), 0.1)
     th = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
     cells = 0.5 * section.radius * np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -275,11 +268,10 @@ def _csv_writer_oracle(grid, path):
 def _bare_grid(membership, labels, error_state, cellwidth):
     """A grid with the given cells and no section behind it."""
     return RSetGrid(
-        section=None, resolution=membership.shape[0], direction="stable",
-        params={"n_max": 1}, membership=membership, component_labels=labels,
-        fail_step=np.full(membership.shape, 2), error_state=error_state,
-        horizon_certified=1, truncation_reason=None,
-        cellwidth=cellwidth, base_norms=np.ones(2))
+        section=None, resolution=membership.shape[0], membership=membership,
+        component_labels=labels, fail_step=np.full(membership.shape, 2),
+        error_state=error_state, horizon_certified=1, truncation_reason=None,
+        cellwidth=cellwidth)
 
 
 def _random_grid(rng, resolution, cellwidth):
@@ -422,14 +414,14 @@ def test_sphere_reach_gamma_zero_and_too_large():
 def test_ball_n0_is_the_disk():
     x = _pt(CAT, (0.31, 0.62, 0.47))
     ball = dynamical_ball(CAT, x, 0, 0.1, 1.0, 41)
-    assert np.array_equal(ball.grid.membership, _in_disk(ball.grid))
+    assert np.array_equal(ball.membership, _in_disk(ball))
 
 
 def test_ball_n0_counts_no_cell_outside_the_manifold():
     """Cells of the section disk beyond the solid torus are out of the
     manifold at n = 0 exactly as at n = 1, never members."""
     x = _pt(RIGID, (0.5, 0.95, 0.0))
-    grids = [dynamical_ball(RIGID, x, n, 0.25, 1.0, 21).grid for n in (0, 1)]
+    grids = [dynamical_ball(RIGID, x, n, 0.25, 1.0, 21) for n in (0, 1)]
     sec = grids[0].section
     raw = sec.base.coords + grids[0].cell_coords() @ sec.frame.axes
     i, j = RIGID.manifold.disk_axes
@@ -445,7 +437,7 @@ def test_ball_nesting():
     x = _pt(CAT, (0.31, 0.62, 0.47))
     balls = [dynamical_ball(CAT, x, n, 0.1, 1.0, 41) for n in range(0, 11)]
     for small, big in zip(balls[1:], balls[:-1]):
-        assert np.all(small.grid.membership <= big.grid.membership)
+        assert np.all(small.membership <= big.membership)
 
 
 def test_ball_width_shrinks_by_top_eigenvalue():
@@ -453,9 +445,9 @@ def test_ball_width_shrinks_by_top_eigenvalue():
     widths = []
     for n in range(0, 3):
         ball = dynamical_ball(CAT, x, n, 0.1, 1.0, 141)
-        coords = ball.grid.cell_coords()
+        coords = ball.cell_coords()
         a = np.abs(coords @ E_PLUS)
-        widths.append(np.max(a[ball.grid.membership]))
+        widths.append(np.max(a[ball.membership]))
     for w0, w1 in zip(widths, widths[1:]):
         assert w0 / w1 == pytest.approx(LAMBDA_PLUS, rel=0.2)
 

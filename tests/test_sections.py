@@ -9,15 +9,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import section_coords
-from rflowlab.errors import BetaTooLarge, LeftTube, SingularBase, Timeout
+from oracles import section_coords, sheared_hit_time, sheared_rotation
+from rflowlab.errors import BetaTooLarge, LeftTube, NoCrossing, SingularBase, Timeout
 from rflowlab import sections
 from rflowlab.flows import CAT_MATRIX, LAMBDA_PLUS, get_flow, sample_points
+from rflowlab.integrate import EVENT_TOL, first_crossing, flow_map
 from rflowlab.sections import holonomy, holonomy_orbit, make_section, section_point
 
 TORUS = get_flow("solid_torus")
 CAT = get_flow("cat_suspension")
 RIGID = get_flow("rigid_rotation")
+SHEARED = sheared_rotation()
 
 
 def _pt(flow, coords):
@@ -72,7 +74,7 @@ def test_holonomy_base_maps_to_base():
     sec = make_section(CAT, x, 0.1)
     res = holonomy(CAT, sec, 1.0, x)
     assert res.hit_time == pytest.approx(1.0, abs=1e-9)
-    assert res.distance_to_base <= 1e-9
+    assert CAT.manifold.distance(res.target.base, res.image) <= 1e-9
     assert res.tube_ok
 
 
@@ -158,6 +160,81 @@ def test_holonomy_matches_analytic_property(flow, a, b, c, t, backward, angle, f
     assert abs(res.hit_time - t) <= 1e-6
     assert abs(res.residual) <= 1e-10
     assert np.linalg.norm(res.image_coords - flow.analytic_holonomy(x, t, u)) <= 1e-6
+
+
+def _sheared_case(bx, r, th, a, b):
+    """A base of the sheared rotation, its section at beta = 0.1, and the
+    section point at offset (a, b) section radii."""
+    base = _pt(SHEARED, (bx, r * math.cos(th), r * math.sin(th)))
+    sec = make_section(SHEARED, base, 0.1)
+    u = sec.radius * np.array([a, b])
+    return base, sec, u, section_point(SHEARED, sec, u)
+
+
+# |t| <= 3 keeps the next crossing of the target plane, one x-period of 4
+# later at speed <= 1.64, out of every window drawn here
+SHEARED_DRAWS = dict(bx=st.floats(-1.9, 1.9), r=st.floats(0.0, 0.6),
+                     th=st.floats(0.0, 2 * math.pi), a=st.floats(-1.4, 1.4),
+                     b=st.floats(-1.4, 1.4), t=st.floats(0.05, 3.0),
+                     backward=st.booleans(), tol=st.sampled_from((1e-7, 1e-9)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**SHEARED_DRAWS)
+def test_holonomy_matches_sheared_closed_form(bx, r, th, a, b, t, backward, tol):
+    """Where the crossing time varies across the section: the hit time is
+    ``sheared_hit_time`` and the image is u; NoCrossing exactly where that
+    time leaves the window t +- radius, else LeftTube exactly where u
+    leaves the radius."""
+    t = -t if backward else t
+    base, sec, u, y = _sheared_case(bx, r, th, a, b)
+    hit = sheared_hit_time(base.coords[1], y.coords[1], t)
+    w = sec.radius      # the target base keeps its height, so its radius
+    late, wide = abs(hit - t) - w, np.linalg.norm(u) - w
+    assume(abs(late) > 1e-9 * (1.0 + abs(t)) and abs(wide) > 1e-9)
+    if late > 0 or wide > 0:
+        with pytest.raises(NoCrossing if late > 0 else LeftTube):
+            holonomy(SHEARED, sec, t, y, tol=tol)
+        return
+    res = holonomy(SHEARED, sec, t, y, tol=tol)
+    assert abs(res.hit_time - hit) <= 10 * tol * (1.0 + abs(t))
+    assert abs(res.residual) <= EVENT_TOL
+    assert np.allclose(res.image_coords, u, rtol=0.0, atol=10 * tol)
+
+
+@settings(max_examples=120, deadline=None)
+@given(**SHEARED_DRAWS, span=st.floats(0.05, 0.5), frac=st.floats(0.001, 0.999),
+       k=st.integers(0, 1000),
+       where=st.sampled_from(("first", "last", "grid", "before", "after")))
+def test_first_crossing_matches_sheared_closed_form(bx, r, th, a, b, t, backward,
+                                                    tol, span, frac, k, where):
+    """Windows of the 0.01 scan grid whose first or last interval holds
+    the hit, windows with the hit within 5e-10 of an inner grid point (the
+    scan flags that point, or a bracket that must be landed again on the
+    exact flow), and windows that end before the hit or begin after it
+    (NoCrossing)."""
+    t = -t if backward else t
+    base, sec, u, y = _sheared_case(bx, r, th, a, b)
+    target = make_section(SHEARED, flow_map(SHEARED, base, t), 0.1,
+                          seed_axes=sec.frame.axes)
+    hit = sheared_hit_time(base.coords[1], y.coords[1], t)
+    rel = np.linspace(0.0, span, int(math.ceil(span / 0.01)) + 1)
+    lo = {"first": hit - frac * rel[1],
+          "last": hit - rel[-2] - frac * (span - rel[-2]),
+          "grid": hit - rel[1 + k % (rel.size - 2)] - (frac - 0.5) * 1e-9,
+          "before": hit - span - 1e-6 - 0.3 * frac,
+          "after": hit + 1e-6 + 0.3 * frac}[where]
+    wide = np.linalg.norm(u) - target.radius
+    assume(abs(wide) > 1e-9)
+    if where in ("before", "after") or wide > 0:
+        with pytest.raises(NoCrossing if where in ("before", "after")
+                           else LeftTube):
+            first_crossing(SHEARED, y, target, (lo, lo + span), tol=tol)
+        return
+    ev = first_crossing(SHEARED, y, target, (lo, lo + span), tol=tol)
+    assert abs(ev.hit_time - hit) <= 10 * tol * (1.0 + abs(t))
+    assert abs(ev.residual) <= EVENT_TOL
+    assert np.allclose(ev.offset_coords, u, rtol=0.0, atol=10 * tol)
 
 
 def test_holonomy_injectivity_probe():
