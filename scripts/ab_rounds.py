@@ -24,7 +24,9 @@ round time, the median B/A ratio with its quartiles, the rounds B won,
 and whether the two sides wrote byte-identical files in every round
 (``manifest.json``, which records wall time, left out).
 
-The exit status is 1 when a run does not exit 0.
+The exit status is 1 when a run does not exit 0 or when the two sides'
+outputs differ in any round, so one command is both the timing check and
+the byte gate.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ def _quartiles(values):
 
 def _compare(sides, name, workload, rounds, seed, out, repos):
     """Run ``rounds`` alternating rounds of one workload and print its
-    block of results; returns the messages of runs that did not exit 0."""
+    block of results; returns the messages of runs that did not exit 0,
+    and one more when the two sides' outputs differ in any round."""
     times = {"a": [], "b": []}
     identical, failed = True, []
     for r in range(rounds):
@@ -100,6 +103,8 @@ def _compare(sides, name, workload, rounds, seed, out, repos):
     print(f"B won {sum(b < a for a, b in zip(times['a'], times['b']))} "
           f"of {rounds} rounds")
     print(f"outputs byte-identical: {'yes' if identical else 'no'}", flush=True)
+    if not identical:
+        failed.append(f"{name}: outputs differ between A and B")
     return failed
 
 

@@ -49,7 +49,7 @@ DEFAULTS = {
     "holonomy": {"beta": 0.1, "n_samples": 1000, "n_bases": 25, "t": None,
                  "t_choices": None, "domain_frac": 0.98, **_SAMPLING},
     "rset": {"beta": 0.1, "t": 1.0, "n_max": 12, "resolution": 101,
-             "n_points": 20, "gamma": None, "gamma_factor": None,
+             "n_points": 20, "gamma_factor": None,
              "direction": "both", **_SAMPLING},
     "expansivity": {"beta": 0.1, "t": 1.0, "n_max": 12, "resolution": 41,
                     "n_points": 20, **_SAMPLING},
@@ -89,7 +89,6 @@ CHECKS = {
     "resolution": (lambda v: _int(v, 3) and v % 2 == 1,
                    "an odd integer >= 3"),
     "domain_frac": (lambda v: _real(v) and 0 < v <= 1, "a number in (0, 1]"),
-    "gamma": (lambda v: _real(v) and v >= 0, "a number >= 0"),
     "gamma_factor": (lambda v: _real(v) and 0 <= v <= 1, "a number in [0, 1]"),
     "disk_radius_max": (lambda v: _real(v) and 0 <= v < 1, "a number in [0, 1)"),
     "direction": (lambda v: v in ("stable", "unstable", "both"),
@@ -175,10 +174,6 @@ def validate(config: ExperimentConfig):
     p = resolved_params(config)
     if "beta" in p and p["beta"] > flow.rescale.beta0 + 1e-12:
         bad.append(f"beta={p['beta']} exceeds beta0={flow.rescale.beta0}")
-    elif "gamma" in p and p["gamma"] is not None and \
-            p["gamma"] > p["beta"] * flow.rescale.L ** -p["t"] + 1e-12:
-        bad.append(f"gamma={p['gamma']} exceeds the section radius factor "
-                   f"beta / L^t = {p['beta'] * flow.rescale.L ** -p['t']:.4g}")
     if "grid" in p and p["grid"] is not None \
             and flow.manifold.disk_axes is not None:
         bad.append(f"grid={json.dumps(p['grid'])} needs the suspension chart; "
@@ -298,10 +293,9 @@ def _run_rset(config, p, outdir):
     beta, t, tol = (float(p[k]) for k in ("beta", "t", "tol"))
     n_max, resolution, n_points = (int(p[k]) for k in
                                    ("n_max", "resolution", "n_points"))
-    gamma, gamma_factor = p["gamma"], p["gamma_factor"]
-    if gamma is None and gamma_factor is not None:
-        # sphere radius factor expressed relative to the shrunken section
-        gamma = float(gamma_factor) * beta / flow.rescale.L ** t
+    # sphere radius factor expressed relative to the shrunken section
+    gamma = None if p["gamma_factor"] is None \
+        else float(p["gamma_factor"]) * beta / flow.rescale.L ** t
     directions = {"both": ("stable", "unstable")}.get(p["direction"],
                                                       (p["direction"],))
 

@@ -10,12 +10,13 @@ from every previously accepted one.
 
 Each sample's orbit is integrated once and cached. Work is done per
 accepted sample, not per candidate: its time-zero eps-neighbors come from
-one lookup in a cell grid of deck copies (any sample farther than eps at
-time zero is separated from it at every horizon), and one distance table
-over the strided cached times and the horizon endpoints gives its
-separation from each neighbor at every horizon.
-The neighbors it fails to separate from are blocked, and the greedy pass
-jumps straight to the next sample that is neither accepted nor blocked.
+one lookup in a cell grid of the manifold's ``deck_copies`` (any sample
+farther than eps at time zero is separated from it at every horizon), and
+one distance table over the strided cached times and the horizon endpoints
+gives its separation from each neighbor at every horizon. The neighbors it
+fails to separate from are blocked, and the greedy pass jumps straight to
+the next sample that is neither accepted nor blocked. Entropy reads no
+deck structure itself: the quotient is the manifold's business.
 
 ``entropy_estimate`` fills the whole (t, eps) table by extending each
 accepted set as t grows: each column is seeded with the previous column's
@@ -115,55 +116,6 @@ class _OrbitCache:
         return int(np.searchsorted(self.times, t + 1e-12))
 
 
-def _deck_variants(manifold, pos):
-    """``pos`` and, on a glued manifold, its images one level up and down.
-
-    Transverse coordinates of the images are re-wrapped (a pure
-    translation) so that boundary translates of them cover a query ball.
-    """
-    variants = [np.asarray(pos, dtype=float)]
-    if manifold.gluing is not None:
-        variants += [manifold._into_domain(manifold._deck_image(pos, k),
-                                           glued=False) for k in (1, -1)]
-    return variants
-
-
-def _deck_copies(manifold, variants, reach):
-    """Deck-image copies of the points whose ``_deck_variants`` are
-    ``variants``, so chart-Euclidean balls of radius ``reach`` around
-    originals see every quotient-metric neighbor."""
-    base_owner = np.arange(variants[0].shape[0])
-    copies = []
-    owners = []
-    glue_axis = manifold.gluing.axis if manifold.gluing is not None else None
-    for var in variants:
-        copies.append(var)
-        owners.append(base_owner)
-        shifted = [(var, base_owner)]
-        for ax, per in enumerate(manifold.periodic_axes):
-            if per is None or ax == glue_axis:
-                continue
-            lo = manifold.axis_origins[ax]
-            nxt = []
-            for arr, own in shifted:
-                nxt.append((arr, own))
-                low = arr[:, ax] < lo + reach
-                if np.any(low):
-                    up = arr[low].copy()
-                    up[:, ax] += per
-                    nxt.append((up, own[low]))
-                high = arr[:, ax] > lo + per - reach
-                if np.any(high):
-                    dn = arr[high].copy()
-                    dn[:, ax] -= per
-                    nxt.append((dn, own[high]))
-            shifted = nxt
-        for arr, own in shifted[1:]:
-            copies.append(arr)
-            owners.append(own)
-    return np.concatenate(copies, axis=0), np.concatenate(owners)
-
-
 # Cells per axis stay at most this many (plus one), so the int64 cell keys
 # of a 3-dimensional chart cannot overflow whatever eps is.
 _MAX_CELLS_PER_AXIS = 2 ** 20
@@ -178,14 +130,14 @@ def _neighbor_screen(manifold, pos, eps):
     center. Only occupied cells are indexed, by a binary search in the
     sorted keys. Around a cell on the grid's edge some of those keys name
     cells on the far side; that only adds candidates, which the distance
-    test drops. The gluing is not an isometry, so each query takes
-    balls around the point and its own deck images; copies inside them
-    are then confirmed with the exact quotient distance. The relation is
+    test drops. The glued identification is not an isometry, so each
+    query takes balls around the point and its own deck images (the
+    variants of ``ModelManifold.deck_copies``); copies inside them are
+    then confirmed with the exact quotient distance. The relation is
     symmetric, so a candidate that an accepted sample does not list is
     more than eps from it at time zero.
     """
-    variants = _deck_variants(manifold, pos)
-    copies, owner = _deck_copies(manifold, variants, eps)
+    variants, copies, owner = manifold.deck_copies(pos, eps)
     radius = eps * (1.0 + 1e-9)
     lo = copies.min(axis=0)
     span = copies.max(axis=0) - lo
@@ -381,11 +333,7 @@ def entropy_estimate(f: FlowSpec, sample_spec: dict, eps_list, t_list,
         raise Saturated("all fit windows saturated; increase the sample count")
 
     valid = [s for s in slopes if s is not None]
-    verdict = None
-    for ei in range(len(eps_list) - 1, -1, -1):  # smallest eps first
-        if slopes[ei] is not None:
-            verdict = slopes[ei]
-            break
+    verdict = valid[-1]     # eps decreases: the smallest eps with a fit
     uncertainty = max(abs(a - b) for a in valid for b in valid) if len(valid) > 1 else 0.0
 
     return EntropyReport(

@@ -4,6 +4,9 @@ A :class:`ModelManifold` is a chart ``R^d`` reduced by per-axis translations
 (periodic axes), optionally one axis whose identification also applies a
 linear map to two designated transverse axes (the glued axis of a mapping
 torus), and optionally a pair of axes constrained to the closed unit disk.
+Only the manifold reads that structure: ``off_disk`` names the rows
+beyond the disk, and ``deck_copies`` lists the deck images that a
+chart-Euclidean neighbor search needs.
 
 Because every built-in manifold is flat, the exponential map at a point is
 chart addition followed by wrapping, and distances search deck
@@ -28,6 +31,7 @@ exhaustive search, so results are its exact bits.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -140,8 +144,8 @@ class ModelManifold:
     def wrap_array(self, raw):
         """Map raw chart coordinates to canonical representatives, vectorized.
 
-        Raises OutOfManifold if any disk-constrained pair has norm above
-        ``disk_radius`` (with 1e-9 slack). Wrapping is idempotent.
+        Raises OutOfManifold if any row is ``off_disk``. Wrapping is
+        idempotent.
         """
         arr = np.array(raw, dtype=float)
         shape = arr.shape
@@ -163,17 +167,20 @@ class ModelManifold:
                                                       out[sel, j])
             out[:, g.axis] = z
         self._into_domain(out)
-        if self.disk_axes is not None:
-            i, j = self.disk_axes
-            r2 = out[:, i] ** 2 + out[:, j] ** 2
-            lim = (self.disk_radius + _DISK_SLACK) ** 2
-            if np.any(r2 > lim):
-                worst = float(np.sqrt(np.max(r2)))
-                raise OutOfManifold(
-                    f"{self.name}: disk coordinates reach radius {worst:.6g} "
-                    f"> {self.disk_radius}"
-                )
+        off = self.off_disk(out)
+        if np.count_nonzero(off):
+            worst = float(np.max(_norm(out[off][:, self.disk_axes])))
+            raise OutOfManifold(f"{self.name}: disk coordinates reach radius "
+                                f"{worst:.6g} > {self.disk_radius}")
         return out.reshape(shape)
+
+    def off_disk(self, x):
+        """Rows of x, (n, d), beyond the disk by more than a 1e-9 slack."""
+        if self.disk_axes is None:
+            return np.zeros(len(x), dtype=bool)
+        i, j = self.disk_axes
+        lim = (self.disk_radius + _DISK_SLACK) ** 2
+        return x[:, i] ** 2 + x[:, j] ** 2 > lim
 
     def wrap(self, raw) -> Point:
         return Point(_readonly(self.wrap_array(np.asarray(raw, dtype=float))))
@@ -195,6 +202,42 @@ class ModelManifold:
         out[..., i], out[..., j] = self._glue(k, out[..., i], out[..., j])
         out[..., g.axis] += k * self.periodic_axes[g.axis]
         return out
+
+    def deck_copies(self, points, reach):
+        """Deck images of ``points`` (n, d) such that chart-Euclidean balls
+        of radius ``reach`` around the variants see every quotient neighbor.
+
+        Returns ``(variants, copies, owner)``. The variants are the points
+        and, on a glued manifold, their images one level up and one level
+        down, the other periodic axes wrapped into the domain (a pure
+        translation). The copies are every variant and its translates across
+        each non-glued periodic axis within ``reach`` of an edge: one shift
+        vector in {0, +1, -1}^k per translate. ``owner`` holds each copy's
+        point index.
+        """
+        variants = [np.asarray(points, dtype=float)]
+        if self.gluing is not None:
+            variants += [self._into_domain(self._deck_image(variants[0], k),
+                                           glued=False) for k in (1, -1)]
+        rows = np.concatenate(variants)
+        owner = np.tile(np.arange(len(variants[0])), len(variants))
+        glued = self.gluing.axis if self.gluing is not None else None
+        # per non-glued periodic axis and shift: the rows it moves
+        edges = [(ax, per, {0: True, 1: rows[:, ax] < lo + reach,
+                            -1: rows[:, ax] > lo + per - reach})
+                 for ax, (lo, per) in enumerate(zip(self.axis_origins,
+                                                    self.periodic_axes))
+                 if per is not None and ax != glued]
+        copies, owners = [], []
+        for shift in itertools.product((0, 1, -1), repeat=len(edges)):
+            keep = np.ones(len(rows), dtype=bool)
+            delta = np.zeros(self.chart_dims)
+            for (ax, per, near), s in zip(edges, shift):
+                keep &= near[s]
+                delta[ax] = s * per
+            copies.append(rows[keep] + delta)
+            owners.append(owner[keep])
+        return variants, np.concatenate(copies), np.concatenate(owners)
 
     def _reduce(self, d):
         """Translation-reduce a fresh chart difference in place on every

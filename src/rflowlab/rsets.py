@@ -166,20 +166,15 @@ def _propagate_points(f: FlowSpec, section: CrossSection, t: float,
     error_state = np.zeros(n_pts, dtype=np.int8)
 
     raw = section.frame.base.coords + coords_u @ section.frame.axes
-    valid = np.ones(n_pts, dtype=bool)
-    if m.disk_axes is not None:
-        i, j = m.disk_axes
-        bad = raw[:, i] ** 2 + raw[:, j] ** 2 > (m.disk_radius + 1e-9) ** 2
-        valid &= ~bad
-        error_state[bad] = CELL_OUT_OF_MANIFOLD
-        fail_step[bad] = 0
+    off = m.off_disk(raw)
+    error_state[off] = CELL_OUT_OF_MANIFOLD
+    fail_step[off] = 0
 
     # the base travels with the batch; distances are relative to it exactly
-    center_u = coords_u[0]
-    if np.linalg.norm(center_u) > 1e-15:
+    if np.linalg.norm(coords_u[0]) > 1e-15:
         raise ValueError("row 0 of coords_u must be the base point")
 
-    alive_idx = np.flatnonzero(valid)
+    alive_idx = np.flatnonzero(~off)
     Y = m.wrap_array(raw[alive_idx])
     horizon = n_max
     trunc = None
@@ -273,6 +268,21 @@ def _march_grid(f, section, resolution, t, sign, n_max, tolerance_factor,
     )
 
 
+def _shrunken_section(f: FlowSpec, x: Point, beta: float, t: float,
+                      direction: str):
+    """The section at x shrunk by L^-t, its factor beta / L^t and the step
+    sign of ``direction``, once direction, t and beta are checked."""
+    if direction not in ("stable", "unstable"):
+        raise ValueError("direction must be 'stable' or 'unstable'")
+    if t <= 0:
+        raise ValueError("t must be positive (direction picks the sign)")
+    if beta > f.rescale.beta0 + 1e-12:
+        raise BetaTooLarge(f"beta={beta} exceeds beta0={f.rescale.beta0}")
+    factor = beta / f.rescale.L ** t
+    return (make_section(f, x, factor), factor,
+            1 if direction == "stable" else -1)
+
+
 def compute_rset(f: FlowSpec, x: Point, beta: float, t: float, n_max: int,
                  resolution: int, direction: str = "stable",
                  tol: float = DEFAULT_TOL,
@@ -284,20 +294,11 @@ def compute_rset(f: FlowSpec, x: Point, beta: float, t: float, n_max: int,
     horizon exists and satisfies d <= (beta / L^t) * ||X||, the shrunken
     factor again.
     """
-    if direction not in ("stable", "unstable"):
-        raise ValueError("direction must be 'stable' or 'unstable'")
-    if t <= 0:
-        raise ValueError("t must be positive (direction picks the sign)")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if beta > f.rescale.beta0 + 1e-12:
-        raise BetaTooLarge(f"beta={beta} exceeds beta0={f.rescale.beta0}")
-    L = f.rescale.L
-    domain_factor = beta / L ** t
-    section = make_section(f, x, domain_factor)
-    grid = _march_grid(f, section, resolution, t,
-                       1 if direction == "stable" else -1, n_max,
-                       domain_factor, beta, tol)
+    section, factor, sign = _shrunken_section(f, x, beta, t, direction)
+    grid = _march_grid(f, section, resolution, t, sign, n_max, factor, beta,
+                       tol)
     if with_components:
         connected_component(grid)
     return grid
@@ -363,8 +364,6 @@ def dynamical_ball(f: FlowSpec, x: Point, n: int, epsilon: float, t: float,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if epsilon > f.rescale.beta0 + 1e-12:
-        raise BetaTooLarge(f"epsilon={epsilon} exceeds beta0={f.rescale.beta0}")
     section = make_section(f, x, epsilon)
     return connected_component(
         _march_grid(f, section, resolution, t, 1, n, epsilon, epsilon, tol))
@@ -376,15 +375,10 @@ def membership_predicate(f: FlowSpec, x: Point, beta: float, t: float,
     """Fail steps for explicit section points (no grid): the same test
     compute_rset applies per cell with its default tolerance. Returns
     (fail_step, propagation)."""
-    if beta > f.rescale.beta0 + 1e-12:
-        raise BetaTooLarge(f"beta={beta} exceeds beta0={f.rescale.beta0}")
-    domain_factor = beta / f.rescale.L ** t
-    section = make_section(f, x, domain_factor)
-    coords_u = np.asarray(coords_u, dtype=float)
-    rows = np.vstack([np.zeros(2), coords_u])
-    sign = 1 if direction == "stable" else -1
-    run = _propagate_points(f, section, t, rows, sign, n_max, domain_factor,
-                            beta, tol=tol, record_tracks=record_tracks)
+    section, factor, sign = _shrunken_section(f, x, beta, t, direction)
+    rows = np.vstack([np.zeros(2), np.asarray(coords_u, dtype=float)])
+    run = _propagate_points(f, section, t, rows, sign, n_max, factor, beta,
+                            tol=tol, record_tracks=record_tracks)
     return run.fail_step[1:], run
 
 

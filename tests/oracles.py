@@ -84,6 +84,34 @@ def sheared_hit_time(base_y, y, t):
     return (1.0 + base_y ** 2) * t / (1.0 + y ** 2)
 
 
+def helical_flow(omega):
+    """``rigid_rotation``'s chart under the field (1, -omega z, omega y).
+
+    The flow is a screw motion: ``helical_orbit`` in closed form. A section
+    plane's function g(s) = <phi_s(y) - base, n> is a sinusoid of frequency
+    omega in time, so unlike the sheared rotation's linear one it bends
+    inside a scan interval, and a secant step lands beside the root."""
+    def field(coords):
+        coords = np.asarray(coords, dtype=float)
+        out = np.empty_like(coords)
+        out[..., 0] = 1.0
+        out[..., 1] = -omega * coords[..., 2]
+        out[..., 2] = omega * coords[..., 1]
+        return out
+
+    return replace(get_flow("rigid_rotation"), name="helical_flow",
+                   field=field, analytic_holonomy=None)
+
+
+def helical_orbit(omega, p, s):
+    """The helical flow's orbit of the chart point p at times s, unwrapped:
+    (x + s, R(omega s)(y, z)), one row per time."""
+    s = np.asarray(s, dtype=float)
+    c, sn = np.cos(omega * s), np.sin(omega * s)
+    return np.stack([p[0] + s, c * p[1] - sn * p[2], sn * p[1] + c * p[2]],
+                    axis=-1)
+
+
 def field_derivative_bound(f, points, step=1e-5):
     """sup ||DX|| over ``points`` (n, d), by central differences of the
     catalog field. A stencil across a kink of a Lipschitz field reads a

@@ -97,10 +97,8 @@ def test_unknown_param_key_exits_2(tmp_path, capsys):
     ("entropy_cat.json", "grid=[4, 4]"),
     ("entropy_rigid.json", "eps_list=[]"),
     ("entropy_rigid.json", "t_list=[]"),
-    ("rset_cat_sphere.json", "gamma=-1"),
     ("rset_cat_sphere.json", "resolution=1"),
     ("rset_cat_sphere.json", "gamma_factor=5"),
-    ("rset_cat_sphere.json", "gamma=0.5"),
     ("entropy_torus.json", "grid=[4, 4, 4]"),
     ("uef_cat.json", "x_range=[0.1, 0.2]"),
     ("uef_cat.json", "disk_radius_max=0.01"),
@@ -172,7 +170,7 @@ def test_holonomy_needs_a_time_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("config, nulls", [
     ("tube_torus.json", ("t",)),
     ("holonomy_cat.json", ("t_choices", "x_range", "disk_radius_max")),
-    ("rset_torus.json", ("gamma", "gamma_factor", "x_range")),
+    ("rset_torus.json", ("gamma_factor", "x_range")),
     ("entropy_cat.json", ("grid", "fit_window")),
 ])
 def test_null_is_kept_where_it_means_the_default(config, nulls):

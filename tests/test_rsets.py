@@ -583,6 +583,25 @@ def test_membership_predicate_rejects_beta_above_beta0():
         membership_predicate(CAT, x, 0.3, 1.0, 2, "stable", [[0.0, 0.001]])
 
 
+@pytest.mark.parametrize("direction, t", [("stabel", 1.0), ("", 1.0),
+                                          ("stable", -1.0), ("unstable", 0.0)])
+def test_membership_predicate_rejects_what_compute_rset_rejects(direction, t):
+    """A misspelt direction once ran the backward maps, and t <= 0 raised
+    BetaTooLarge from the section it shrank by L^-t: both grid entry points
+    now raise the same ValueError before any step."""
+    x = _pt(CAT, (0.31, 0.62, 0.47))
+    errors = []
+    for call in (lambda: compute_rset(CAT, x, 0.1, t, 2, 5, direction),
+                 lambda: membership_predicate(CAT, x, 0.1, t, 2, direction,
+                                              [[0.0, 0.001]])):
+        with mock.patch.object(rsets, "orbit_batch",
+                               side_effect=AssertionError("a step ran")), \
+                pytest.raises(ValueError) as exc:
+            call()
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
 def test_stable_set_contracts_with_bottom_eigenvalue():
     """Forward images of verified stable-set points shrink by the bottom
     eigenvalue per step (10 percent envelope, n <= 6)."""

@@ -9,9 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import section_coords, sheared_hit_time, sheared_rotation
+from oracles import (
+    helical_flow,
+    helical_orbit,
+    section_coords,
+    sheared_hit_time,
+    sheared_rotation,
+)
 from rflowlab.errors import BetaTooLarge, LeftTube, NoCrossing, SingularBase, Timeout
-from rflowlab import sections
+from rflowlab import integrate, sections
 from rflowlab.flows import CAT_MATRIX, LAMBDA_PLUS, get_flow, sample_points
 from rflowlab.integrate import EVENT_TOL, first_crossing, flow_map
 from rflowlab.sections import holonomy, holonomy_orbit, make_section, section_point
@@ -235,6 +241,72 @@ def test_first_crossing_matches_sheared_closed_form(bx, r, th, a, b, t, backward
     assert abs(ev.hit_time - hit) <= 10 * tol * (1.0 + abs(t))
     assert abs(ev.residual) <= EVENT_TOL
     assert np.allclose(ev.offset_coords, u, rtol=0.0, atol=10 * tol)
+
+
+HELIX_OMEGA = 30.0
+
+
+def test_holonomy_polishes_the_helical_flows_curved_plane_function():
+    """The helical flow's plane function bends inside a 0.01 scan interval.
+    An independent root, the first sign change of the closed-form g on the
+    scan's grid bisected, checks holonomy's hit time within 10 tol (1 + t),
+    or LeftTube where that root lies beyond the section radius. A spy on
+    ``integrate.orbit_batch`` (which the tube batch does not go through)
+    bounds first_crossing's exact integrations per crossing: the landing,
+    the scan, the re-landed bracket ends and the polish steps. Regula
+    falsi without the Illinois halving keeps one bracket end and stalls
+    on the bent side; on these draws it took up to 18 calls."""
+    flow = helical_flow(HELIX_OMEGA)
+    rng = np.random.default_rng(2)
+    tol, calls = 1e-7, []
+    for _ in range(60):
+        r, th = rng.uniform(0.02, 0.2), rng.uniform(0.0, 2 * math.pi)
+        base = _pt(flow, (rng.uniform(-1.9, 1.9), r * math.cos(th),
+                          r * math.sin(th)))
+        t = float(rng.choice((0.5, 1.0, 2.0)))
+        sec = make_section(flow, base, 0.1)
+        y = section_point(flow, sec, sec.radius * rng.uniform(-1.0, 1.0, 2))
+        # the screw motion keeps ||X||, so the target radius is the source's
+        target = helical_orbit(HELIX_OMEGA, base.coords, t)
+        nhat = flow.field(target) / np.linalg.norm(flow.field(target))
+
+        def disp(s):
+            d = helical_orbit(HELIX_OMEGA, y.coords, s) - target
+            d[..., 0] -= 4.0 * np.rint(d[..., 0] / 4.0)
+            return d
+
+        lo, hi = t - sec.radius, t + sec.radius
+        grid = lo + np.linspace(0.0, hi - lo,
+                                int(math.ceil((hi - lo) / 0.01)) + 1)
+        g = disp(grid) @ nhat
+        change = np.flatnonzero(np.diff(g > 0))
+        # a grid value near zero could flag a point, or flip a sign, on the
+        # integrated flow: no independent root there
+        if change.size == 0 or np.any(np.abs(g[:change[0] + 2]) <= 1e-6):
+            continue
+        a, b = grid[change[0]], grid[change[0] + 1]
+        for _ in range(100):
+            mid = 0.5 * (a + b)
+            if (disp(mid) @ nhat > 0) == (g[change[0]] > 0):
+                a = mid
+            else:
+                b = mid
+        root = 0.5 * (a + b)
+        wide = np.linalg.norm(disp(root)) - sec.radius
+        if abs(wide) <= 1e-6:
+            continue
+        with mock.patch.object(integrate, "orbit_batch",
+                               wraps=integrate.orbit_batch) as spy:
+            if wide > 0:
+                with pytest.raises(LeftTube):
+                    holonomy(flow, sec, t, y, tol=tol)
+            else:
+                res = holonomy(flow, sec, t, y, tol=tol)
+                assert abs(res.hit_time - root) <= 10 * tol * (1.0 + t)
+                assert abs(res.residual) <= EVENT_TOL
+        calls.append(spy.call_count)
+    assert len(calls) >= 50
+    assert max(calls) <= 12, sorted(calls)
 
 
 def test_holonomy_injectivity_probe():
