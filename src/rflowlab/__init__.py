@@ -10,7 +10,6 @@ a rigid rotation).
 from .errors import (
     BetaTooLarge,
     BudgetExhausted,
-    DegenerateField,
     GammaTooLarge,
     LeftTube,
     NoCrossing,
@@ -31,6 +30,6 @@ from .flows import (
     get_flow,
     sample_points,
 )
-from .geometry import ModelManifold, NormalFrame, Point
+from .geometry import ModelManifold, Point
 
 __version__ = "0.1.0"

@@ -38,7 +38,7 @@ from .rsets import (
     sphere_reach,
     uniform_expansiveness_scan,
 )
-from .sections import holonomy, make_section, section_point
+from .sections import RADIUS_SLACK, holonomy, make_section, section_point
 
 COMMANDS = ("holonomy", "rset", "expansivity", "entropy", "uef", "demo")
 
@@ -186,11 +186,21 @@ def validate(config: ExperimentConfig):
     if "jitter" in p and not p["jitter"] and p["grid"] is None:
         bad.append("jitter=false needs grid; without it the sample is not "
                    "a lattice")
-    if config.command == "holonomy" and p["t"] is None and not p["t_choices"]:
-        bad.append("holonomy needs t or a non-empty t_choices, not "
-                   f"t={json.dumps(p['t'])}, "
-                   f"t_choices={json.dumps(p['t_choices'])}")
+    if "count" in config.params and p["grid"] is not None:
+        bad.append(f"count={json.dumps(p['count'])} and "
+                   f"grid={json.dumps(p['grid'])} both set the sample; give one")
+    if p.get("fit_window") is not None:
+        lo, hi = p["fit_window"]
+        held = sum(lo - 1e-12 <= t <= hi + 1e-12 for t in p["t_list"])
+        if held < 3:
+            bad.append(f"fit_window={json.dumps(p['fit_window'])} holds {held} "
+                       f"of t_list={json.dumps(p['t_list'])}; a fit needs 3")
     if config.command == "holonomy":
+        times = f"t={json.dumps(p['t'])}, t_choices={json.dumps(p['t_choices'])}"
+        if p["t"] is None and not p["t_choices"]:
+            bad.append(f"holonomy needs t or a non-empty t_choices, not {times}")
+        if p["t"] is not None and p["t_choices"] is not None:
+            bad.append(f"holonomy takes t or t_choices, not both: {times}")
         # the crossing window reaches the target section's radius, at most
         # beta on every catalog flow (||X|| <= 1), past t
         t_top = T_MAX - p["beta"]
@@ -259,7 +269,7 @@ def _run_holonomy(config, p, outdir):
             u = rng.uniform(-1.0, 1.0, size=2)
             u *= rng.uniform(0.0, domain_frac) * dom / max(np.linalg.norm(u), 1e-12)
             y = section_point(flow, sec, u)
-            res = holonomy(flow, sec, t, y, tol=tol, radius_slack=4.0)
+            res = holonomy(flow, sec, t, y, tol=tol, radius_slack=RADIUS_SLACK)
             if flow.analytic_holonomy is not None:
                 ana = flow.analytic_holonomy(base, t, u)
                 err = float(np.linalg.norm(res.image_coords - ana))

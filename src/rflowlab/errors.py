@@ -13,10 +13,6 @@ class OutOfManifold(RFlowError):
     """Coordinates violate a hard chart constraint (e.g. left the unit disk)."""
 
 
-class DegenerateField(RFlowError):
-    """A direction vector was too small to normalize (norm below 1e-12)."""
-
-
 class SingularBase(RFlowError):
     """A cross-section was requested at a point where the field vanishes."""
 

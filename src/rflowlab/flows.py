@@ -245,20 +245,21 @@ def sample_points(f: FlowSpec, n: int, seed: int = 0, x_range=None,
     """
     rng = np.random.default_rng(seed)
     m = f.manifold
-    if m.name == "cat_suspension":
+    if m.disk_axes is None:     # the suspension's unit cube
         raw = rng.uniform(0.0, 1.0, size=(n, 3))
-        return [m.wrap(r) for r in raw]
-    # solid torus chart
-    if x_range is None:
-        x = rng.uniform(-2.0, 2.0, size=n)
-    else:
-        lo, hi = x_range
-        mag = rng.uniform(lo, hi, size=n)
-        sign = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-        x = mag * sign
-    if disk_radius_max is None:
-        disk_radius_max = 0.6
-    r = disk_radius_max * np.sqrt(rng.uniform(size=n))
-    th = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    raw = np.stack([x, r * np.cos(th), r * np.sin(th)], axis=1)
-    return [m.wrap(p) for p in raw]
+    else:                       # the solid torus chart
+        if x_range is None:
+            x = rng.uniform(-2.0, 2.0, size=n)
+        else:
+            lo, hi = x_range
+            mag = rng.uniform(lo, hi, size=n)
+            sign = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+            x = mag * sign
+        if disk_radius_max is None:
+            disk_radius_max = 0.6
+        r = disk_radius_max * np.sqrt(rng.uniform(size=n))
+        th = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        raw = np.stack([x, r * np.cos(th), r * np.sin(th)], axis=1)
+    rows = m.wrap_array(raw)    # one call for the whole sample
+    rows.setflags(write=False)
+    return [Point(r) for r in rows]

@@ -8,17 +8,16 @@ Only the manifold reads that structure: ``off_disk`` names the rows
 beyond the disk, and ``deck_copies`` lists the deck images that a
 chart-Euclidean neighbor search needs.
 
-Because every built-in manifold is flat, the exponential map at a point is
-chart addition followed by wrapping, and distances search deck
-representatives: exact translation minimization on periodic axes, and at
-most one crossing of the glued axis. ``displacement(p, q)`` takes the
-shortest of q's images one level down, on, and one level up the glued axis
-(ties to the lowest level); ``distance_array`` also takes p's images one
-level down and up. The distance is therefore the shorter displacement norm
-of (p, q) and (q, p), bit for bit, and equals that of (p, q) on a common
-transverse fiber and for separations below a quarter period that do not
-cross the glued fiber. When the gluing map is not an isometry, comparisons
-across the glued fiber inherit its stretch and the two orders differ.
+Every built-in manifold is flat, and distances search deck representatives:
+exact translation minimization on periodic axes, and at most one crossing
+of the glued axis. ``displacement(p, q)`` takes the shortest of q's images
+one level down, on, and one level up the glued axis (ties to the lowest
+level); ``distance_array`` also takes p's images one level down and up.
+The distance is therefore the shorter displacement norm of (p, q) and
+(q, p), bit for bit, and equals that of (p, q) on a common transverse fiber
+and for separations below a quarter period that do not cross the glued
+fiber. When the gluing map is not an isometry, comparisons across the
+glued fiber inherit its stretch and the two orders differ.
 
 A glued candidate's computed norm is at least |z| (1 - 2u) for its
 glued-axis component z, and z differs from ds -+ per (ds the in-sheet
@@ -37,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateField, OutOfManifold
+from .errors import OutOfManifold
 
 _DISK_SLACK = 1e-9
 
@@ -87,15 +86,6 @@ class Gluing:
         if k not in self._powers:
             self._powers[k] = np.linalg.matrix_power(self.matrix, k)
         return self._powers[k]
-
-
-@dataclass(frozen=True)
-class NormalFrame:
-    """Orthonormal basis of the hyperplane normal to a field direction."""
-
-    base: Point
-    axes: np.ndarray        # (d-1, d), rows orthonormal and orthogonal to field_dir
-    field_dir: np.ndarray   # unit vector
 
 
 @dataclass(frozen=True)
@@ -315,48 +305,3 @@ class ModelManifold:
 
     def distance(self, p: Point, q: Point) -> float:
         return float(self.distance_array(p.coords, q.coords))
-
-    # ----------------------------------------------------------------- frames
-
-    def normal_frame(self, x: Point, field_dir, seed_axes=None) -> NormalFrame:
-        """Orthonormal completion of ``field_dir`` at ``x``.
-
-        Deterministic: candidate vectors are either the given seed axes
-        (used to keep frames continuous along an orbit) or the standard
-        basis with the axis most aligned to the field removed, processed in
-        order with Gram-Schmidt.
-        """
-        d = np.asarray(field_dir, dtype=float)
-        n = np.linalg.norm(d)
-        if n < 1e-12:
-            raise DegenerateField(f"field direction norm {n:.3e} below 1e-12")
-        d = d / n
-        dim = self.chart_dims
-        cands = []
-        if seed_axes is not None:
-            cands.extend(np.asarray(a, dtype=float) for a in seed_axes)
-        drop = int(np.argmax(np.abs(d)))
-        cands.extend(np.eye(dim)[ax] for ax in range(dim) if ax != drop)
-        cands.extend(np.eye(dim)[ax] for ax in range(dim))  # fill-in fallback
-        axes = []
-        for c in cands:
-            v = c - np.dot(c, d) * d
-            for a in axes:
-                v = v - np.dot(v, a) * a
-            nv = np.linalg.norm(v)
-            if nv > 1e-8:
-                axes.append(v / nv)
-            if len(axes) == dim - 1:
-                break
-        if len(axes) < dim - 1:
-            raise DegenerateField("could not complete an orthonormal frame")
-        return NormalFrame(base=x, axes=_readonly(np.array(axes)), field_dir=_readonly(d))
-
-    # -------------------------------------------------------------------- exp
-
-    def exp(self, frame: NormalFrame, v) -> Point:
-        """Exponential map: chart translation along the frame, then wrap."""
-        v = np.asarray(v, dtype=float)
-        raw = frame.base.coords + v @ frame.axes
-        return self.wrap(raw)
-

@@ -93,34 +93,33 @@ def _rk_step(field, y, f0, h):
 
     States are held transposed, (d, n): each coordinate is a contiguous
     row, so per-row step sizes broadcast along it; ``field`` sees (n, d)
-    views. In a batch of more than two rows, a stage the field gives every
-    row alike, as a view with row stride 0, is carried as one (d, 1)
-    column through the stage sums and the error estimate: each row's
-    operands are the same numbers, so each row's bits are too. Returns
+    views. A stage the field gives every row alike, as a view with row
+    stride 0, is carried as one (d, 1) column through the stage sums and
+    the error estimate: each row's operands are the same numbers, so each
+    row's bits are too. Whether to share is the field's choice. Returns
     (y_new, f_new, err, stages, k2): f_new is FSAL, as the field gave it;
     err is each row's largest error component (one entry for all rows
     when they share it); stages are (k1, k3, k4, k5, k6, k7) for dense
     output and k2 is the field at the first inner stage, each (d, n) or a
     shared (d, 1) column.
     """
-    many = y.shape[1] > 2       # one row is a column; catalog fields fill pairs
-    k1 = f0[:, :1] if many and not f0.strides[1] else f0
+    k1 = f0[:, :1] if not f0.strides[1] else f0
     k2 = field((y + h * (_A21 * k1)).T).T
-    k2 = k2[:, :1] if many and not k2.strides[1] else k2
+    k2 = k2[:, :1] if not k2.strides[1] else k2
     k3 = field((y + h * (_A3[0] * k1 + _A3[1] * k2)).T).T
-    k3 = k3[:, :1] if many and not k3.strides[1] else k3
+    k3 = k3[:, :1] if not k3.strides[1] else k3
     k4 = field((y + h * (_A4[0] * k1 + _A4[1] * k2 + _A4[2] * k3)).T).T
-    k4 = k4[:, :1] if many and not k4.strides[1] else k4
+    k4 = k4[:, :1] if not k4.strides[1] else k4
     k5 = field((y + h * (_A5[0] * k1 + _A5[1] * k2 + _A5[2] * k3
                          + _A5[3] * k4)).T).T
-    k5 = k5[:, :1] if many and not k5.strides[1] else k5
+    k5 = k5[:, :1] if not k5.strides[1] else k5
     k6 = field((y + h * (_A6[0] * k1 + _A6[1] * k2 + _A6[2] * k3 + _A6[3] * k4
                          + _A6[4] * k5)).T).T
-    k6 = k6[:, :1] if many and not k6.strides[1] else k6
+    k6 = k6[:, :1] if not k6.strides[1] else k6
     y5 = y + h * (_B5[0] * k1 + _B5[2] * k3 + _B5[3] * k4 + _B5[4] * k5
                   + _B5[5] * k6)
     f_new = field(y5.T).T
-    k7 = f_new[:, :1] if many and not f_new.strides[1] else f_new
+    k7 = f_new[:, :1] if not f_new.strides[1] else f_new
     err = h * (_ERR[0] * k1 + _ERR[2] * k3 + _ERR[3] * k4 + _ERR[4] * k5
                + _ERR[5] * k6 + _ERR[6] * k7)
     err = np.maximum.reduce(np.abs(err))
@@ -425,8 +424,8 @@ def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,
     if max(-w_lo, w_hi) > T_MAX:
         raise ValueError(f"window reaches beyond |t| = T_MAX = {T_MAX}")
     m = f.manifold
-    base = target.frame.base.coords
-    nhat = target.frame.field_dir
+    base = target.base.coords
+    nhat = target.normal
 
     steps = np.full(1, np.nan)   # every integration continues the last's step
 
@@ -509,7 +508,7 @@ def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,
                                  f"t={s_hit:.6g} above EVENT_TOL {EVENT_TOL:.3g}")
 
     offset_vec = disp - g_hit * nhat
-    u = target.frame.axes @ offset_vec
+    u = target.axes @ offset_vec
     off = float(np.linalg.norm(u))
     if off > target.radius * radius_slack + 1e-12:
         raise LeftTube(

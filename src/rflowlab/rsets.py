@@ -45,7 +45,8 @@ from .geometry import Point
 from .integrate import DEFAULT_TOL, orbit_batch
 # unused here: perfbench/bench_trace.py patches it; ROADMAP item 1 drops it
 from .integrate import first_crossing  # noqa: F401
-from .sections import SINGULAR_NORM, CrossSection, make_section, section_point
+from .sections import (RADIUS_SLACK, SINGULAR_NORM, CrossSection,
+                       make_section, section_point)
 
 # per-cell error states
 CELL_OK = 0
@@ -61,11 +62,6 @@ ERROR_NAMES = {
     CELL_LEFT_TUBE: "left_tube",
     CELL_NO_CROSSING: "no_crossing",
 }
-
-# A cell whose holonomy image lies farther than this many section radii
-# (beta * ||X||) from the base orbit has left the tube: it fails as
-# left_tube even where the rescaled tolerance is looser.
-RADIUS_SLACK = 4.0
 
 
 def _cell_offsets(res: int, w: float):
@@ -165,7 +161,7 @@ def _propagate_points(f: FlowSpec, section: CrossSection, t: float,
     fail_step = np.full(n_pts, n_max + 1, dtype=int)
     error_state = np.zeros(n_pts, dtype=np.int8)
 
-    raw = section.frame.base.coords + coords_u @ section.frame.axes
+    raw = section.base.coords + coords_u @ section.axes
     off = m.off_disk(raw)
     error_state[off] = CELL_OUT_OF_MANIFOLD
     fail_step[off] = 0

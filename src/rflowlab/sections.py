@@ -1,13 +1,15 @@
 """Rescaled cross-sections and holonomy maps between them.
 
 A cross-section at a regular point x is the disk of radius beta * ||X(x)||
-in the hyperplane normal to the field, realized through the flat exp map.
-The holonomy over time t sends a point y near x on its section to the
-first crossing of the section rebuilt at phi_t(x). The result holds the
-image, its coordinates in the target frame, the hit time and residual,
-the target section, and a flag recording whether the orbit segment stayed
-inside the rescaled tube d(phi_s(x), phi_s(y)) <= beta * ||X(phi_s(x))||
-at sampled times. The image's distance to the target base is not stored:
+in the hyperplane normal to the field. It carries an orthonormal frame of
+that hyperplane; every built-in manifold is flat, so the exponential map
+at x is chart addition along the frame followed by wrapping. The holonomy
+over time t sends a point y near x on its section to the first crossing
+of the section rebuilt at phi_t(x). The result holds the image, its
+coordinates in the target frame, the hit time and residual, the target
+section, and a flag recording whether the orbit segment stayed inside the
+rescaled tube d(phi_s(x), phi_s(y)) <= beta * ||X(phi_s(x))|| at sampled
+times. The image's distance to the target base is not stored:
 ``f.manifold.distance(result.target.base, result.image)`` gives it.
 
 Frames along an orbit are kept continuous by seeding each Gram-Schmidt run
@@ -26,26 +28,28 @@ from typing import Optional
 import numpy as np
 
 from .errors import BetaTooLarge, LeftTube, NoCrossing, SingularBase, Timeout
-from .flows import FlowSpec, field_norm
-from .geometry import NormalFrame, Point, _readonly
+from .flows import FlowSpec
+from .geometry import Point, _readonly
 from .integrate import DEFAULT_TOL, T_MAX, first_crossing, orbit_batch
 # unused here: perfbench/bench_trace.py patches it; ROADMAP item 1 drops it
 from .integrate import flow_map  # noqa: F401
 
 SINGULAR_NORM = 1e-12
+# A holonomy image farther than this many section radii (beta * ||X||) from
+# the base orbit has left the tube: the holonomy command's crossing check
+# and a membership grid's left_tube test both stop there.
+RADIUS_SLACK = 4.0
 
 
 @dataclass(frozen=True)
 class CrossSection:
     """Disk of radius beta * ||X(base)|| normal to the field at base."""
 
-    frame: NormalFrame
+    base: Point
+    axes: np.ndarray        # (d-1, d), rows orthonormal and orthogonal to normal
+    normal: np.ndarray      # unit field direction at base
     beta: float
     base_field_norm: float
-
-    @property
-    def base(self) -> Point:
-        return self.frame.base
 
     @property
     def radius(self) -> float:
@@ -73,8 +77,15 @@ class HolonomyOrbit:
 
 def make_section(f: FlowSpec, x: Point, beta: float,
                  seed_axes=None) -> CrossSection:
-    """Build the rescaled cross-section at a regular point."""
-    n = field_norm(f, x)
+    """Build the rescaled cross-section at a regular point.
+
+    The frame is deterministic: Gram-Schmidt runs over the seed axes, then
+    over the standard basis without the axis most aligned with the field.
+    Those d - 1 axes alone span the normal hyperplane, so the frame is
+    always complete.
+    """
+    fvec = f.field(x.coords)
+    n = float(np.linalg.norm(fvec))
     if n <= SINGULAR_NORM:
         raise SingularBase(f"{f.name}: ||X|| = {n:.3e} at {x}")
     if beta > f.rescale.beta0 + 1e-12:
@@ -82,14 +93,29 @@ def make_section(f: FlowSpec, x: Point, beta: float,
                            f"for {f.name}")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    direction = f.field(x.coords) / n
-    frame = f.manifold.normal_frame(x, direction, seed_axes=seed_axes)
-    return CrossSection(frame=frame, beta=beta, base_field_norm=n)
+    d = fvec / n
+    dim = f.manifold.chart_dims
+    drop = int(np.argmax(np.abs(d)))
+    cands = [] if seed_axes is None else list(np.asarray(seed_axes, dtype=float))
+    cands += [np.eye(dim)[ax] for ax in range(dim) if ax != drop]
+    axes = []
+    for c in cands:
+        v = c - np.dot(c, d) * d
+        for a in axes:
+            v = v - np.dot(v, a) * a
+        nv = np.linalg.norm(v)
+        if nv > 1e-8:
+            axes.append(v / nv)
+        if len(axes) == dim - 1:
+            break
+    return CrossSection(base=x, axes=_readonly(axes), normal=_readonly(d),
+                        beta=beta, base_field_norm=n)
 
 
 def section_point(f: FlowSpec, section: CrossSection, u) -> Point:
-    """The section point with frame coefficients u."""
-    return f.manifold.exp(section.frame, u)
+    """The section point with frame coefficients u: the flat exp map."""
+    u = np.asarray(u, dtype=float)
+    return f.manifold.wrap(section.base.coords + u @ section.axes)
 
 
 def _tube_samples(t: float) -> np.ndarray:
@@ -113,7 +139,7 @@ def holonomy(f: FlowSpec, source: CrossSection, t: float, y: Point,
     tube_ok, states = _tube_inequality_holds(f, source, y, t, tol)
     target_base = Point(_readonly(states[0, -1]))
     target = make_section(f, target_base, source.beta,
-                          seed_axes=source.frame.axes)
+                          seed_axes=source.axes)
     w = max(target.radius, 1e-9)
     event = first_crossing(f, y, target, window=(t - w, t + w), tol=tol,
                            radius_slack=radius_slack)

@@ -129,7 +129,7 @@ def field_derivative_bound(f, points, step=1e-5):
 def section_coords(f, section, p):
     """Coefficients of p in the section frame (deck-minimal displacement)."""
     disp = f.manifold.displacement(section.base.coords, p.coords)
-    return section.frame.axes @ disp
+    return section.axes @ disp
 
 
 def separated_count(f, samples, t, eps, orbit_step, tol=1e-7):

@@ -108,6 +108,10 @@ def test_unknown_param_key_exits_2(tmp_path, capsys):
     ("entropy_cat.json", "disk_radius_max=0.3"),
     ("entropy_rigid.json", "jitter=false"),
     ("entropy_torus.json", "jitter=false"),
+    ("tube_cat.json", "t=1.0"),
+    ("holonomy_cat.json", "t_choices=[0.5, 1.0]"),
+    ("entropy_cat.json", "count=10"),
+    ("entropy_rigid.json", "fit_window=[100, 200]"),
 ])
 def test_bad_param_value_exits_2(tmp_path, capsys, config, override):
     key, _, value = override.partition("=")

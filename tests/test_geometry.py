@@ -1,11 +1,11 @@
-"""Chart wrapping, deck-aware distances, frames, and the flat exp map."""
+"""Chart wrapping and deck-aware distances."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rflowlab.errors import DegenerateField, OutOfManifold
+from rflowlab.errors import OutOfManifold
 from rflowlab.flows import CAT_MATRIX, cat_suspension_manifold, solid_torus_manifold
 from rflowlab.geometry import Gluing
 
@@ -143,68 +143,6 @@ def test_triangle_inequality_sampled():
     d12 = CAT.distance_array(pts[:, 1], pts[:, 2])
     d02 = CAT.distance_array(pts[:, 0], pts[:, 2])
     assert np.all(d02 <= d01 + d12 + 1e-9)
-
-
-def test_normal_frame_canonical_torus():
-    x = TORUS.wrap((0.5, 0.0, 0.0))
-    fr = TORUS.normal_frame(x, (1.0, 0.0, 0.0))
-    assert np.allclose(fr.axes, [[0, 1, 0], [0, 0, 1]], atol=1e-12)
-
-
-def test_normal_frame_canonical_cat():
-    x = CAT.wrap((0.2, 0.3, 0.4))
-    fr = CAT.normal_frame(x, (0.0, 0.0, 1.0))
-    assert np.allclose(fr.axes, [[1, 0, 0], [0, 1, 0]], atol=1e-12)
-
-
-def test_normal_frame_orthonormal_random():
-    rng = np.random.default_rng(3)
-    x = CAT.wrap((0.5, 0.5, 0.5))
-    for _ in range(200):
-        d = rng.normal(size=3)
-        fr = CAT.normal_frame(x, d)
-        dhat = d / np.linalg.norm(d)
-        gram = fr.axes @ fr.axes.T
-        assert np.allclose(gram, np.eye(2), atol=1e-10)
-        assert np.max(np.abs(fr.axes @ dhat)) < 1e-10
-
-
-def test_normal_frame_degenerate():
-    x = TORUS.wrap((0.5, 0.0, 0.0))
-    with pytest.raises(DegenerateField):
-        TORUS.normal_frame(x, (0.0, 0.0, 1e-13))
-
-
-def test_exp_zero_is_base():
-    x = TORUS.wrap((0.5, 0.1, -0.2))
-    fr = TORUS.normal_frame(x, (1.0, 0.0, 0.0))
-    p = TORUS.exp(fr, (0.0, 0.0))
-    assert np.allclose(p.coords, x.coords, atol=1e-15)
-
-
-def test_exp_flat_translation():
-    x = TORUS.wrap((0.5, 0.0, 0.0))
-    fr = TORUS.normal_frame(x, (1.0, 0.0, 0.0))
-    p = TORUS.exp(fr, (0.3, 0.0))
-    assert np.allclose(p.coords, (0.5, 0.3, 0.0), atol=1e-12)
-
-
-def test_exp_local_isometry():
-    rng = np.random.default_rng(5)
-    x = CAT.wrap((0.4, 0.6, 0.3))
-    fr = CAT.normal_frame(x, (0.0, 0.0, 1.0))
-    for _ in range(500):
-        v = rng.uniform(-1, 1, size=2)
-        v *= rng.uniform(0, 0.2) / max(np.linalg.norm(v), 1e-12)
-        p = CAT.exp(fr, v)
-        assert abs(CAT.distance(x, p) - np.linalg.norm(v)) <= 1e-9
-
-
-def test_exp_propagates_out_of_manifold():
-    x = TORUS.wrap((0.5, 0.9, 0.0))
-    fr = TORUS.normal_frame(x, (1.0, 0.0, 0.0))
-    with pytest.raises(OutOfManifold):
-        TORUS.exp(fr, (0.5, 0.0))
 
 
 # ------------------------------------------------ deck search: exact oracles

@@ -201,7 +201,7 @@ def test_rows_carried_off_the_target_plane_fail_as_no_crossing():
     section = make_section(f, _pt(f, (0.3, 0.3, 0.0)), 0.1)
     th = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
     cells = 0.5 * section.radius * np.stack([np.cos(th), np.sin(th)], axis=1)
-    dy = (cells @ section.frame.axes)[:, 1]
+    dy = (cells @ section.axes)[:, 1]
     cells = np.vstack([np.zeros(2), cells[np.abs(dy) > 1e-3]])
     run = _propagate_points(f, section, 1.0, cells, 1, 2, np.inf, np.inf)
     assert run.horizon == 2
@@ -423,7 +423,7 @@ def test_ball_n0_counts_no_cell_outside_the_manifold():
     x = _pt(RIGID, (0.5, 0.95, 0.0))
     grids = [dynamical_ball(RIGID, x, n, 0.25, 1.0, 21) for n in (0, 1)]
     sec = grids[0].section
-    raw = sec.base.coords + grids[0].cell_coords() @ sec.frame.axes
+    raw = sec.base.coords + grids[0].cell_coords() @ sec.axes
     i, j = RIGID.manifold.disk_axes
     outside = np.hypot(raw[..., i], raw[..., j]) > 1.0 + 1e-9
     assert np.any(outside & _in_disk(grids[0]))

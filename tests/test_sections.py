@@ -2,6 +2,7 @@
 oracle, rescaled-tube containment, injectivity, and stepwise orbits."""
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,14 @@ from oracles import (
     sheared_hit_time,
     sheared_rotation,
 )
-from rflowlab.errors import BetaTooLarge, LeftTube, NoCrossing, SingularBase, Timeout
+from rflowlab.errors import (
+    BetaTooLarge,
+    LeftTube,
+    NoCrossing,
+    OutOfManifold,
+    SingularBase,
+    Timeout,
+)
 from rflowlab import integrate, sections
 from rflowlab.flows import CAT_MATRIX, LAMBDA_PLUS, get_flow, sample_points
 from rflowlab.integrate import EVENT_TOL, first_crossing, flow_map
@@ -61,6 +69,95 @@ def test_section_coords_roundtrip():
     u = np.array([0.03, -0.04])
     p = section_point(CAT, sec, u)
     assert np.allclose(section_coords(CAT, sec, p), u, atol=1e-12)
+
+
+def _constant_flow(flow, direction):
+    """``flow`` with the constant field ``direction`` in place of its own."""
+    d = np.asarray(direction, dtype=float)
+    return replace(flow, field=lambda c: np.broadcast_to(d, np.shape(c)))
+
+
+def test_section_frame_canonical_torus():
+    sec = make_section(TORUS, _pt(TORUS, (0.5, 0.0, 0.0)), 0.1)
+    assert np.allclose(sec.axes, [[0, 1, 0], [0, 0, 1]], atol=1e-12)
+
+
+def test_section_frame_canonical_cat():
+    sec = make_section(CAT, _pt(CAT, (0.2, 0.3, 0.4)), 0.1)
+    assert np.allclose(sec.axes, [[1, 0, 0], [0, 1, 0]], atol=1e-12)
+
+
+def test_section_frame_orthonormal_random():
+    rng = np.random.default_rng(3)
+    x = _pt(CAT, (0.5, 0.5, 0.5))
+    for _ in range(200):
+        d = rng.normal(size=3)
+        sec = make_section(_constant_flow(CAT, d), x, 0.1)
+        dhat = d / np.linalg.norm(d)
+        assert np.allclose(sec.normal, dhat, atol=1e-15)
+        assert np.allclose(sec.axes @ sec.axes.T, np.eye(2), atol=1e-10)
+        assert np.max(np.abs(sec.axes @ dhat)) < 1e-10
+
+
+@st.composite
+def _frame_directions(draw):
+    """Exact axes, directions within 1e-3 of one, and the diagonal."""
+    kind = draw(st.sampled_from(("axis", "near", "diagonal")))
+    if kind == "diagonal":
+        return np.ones(3) / math.sqrt(3.0)
+    d = np.zeros(3)
+    d[draw(st.integers(0, 2))] = draw(st.sampled_from((1.0, -1.0)))
+    if kind == "near":
+        d += draw(st.lists(st.floats(-1e-3, 1e-3), min_size=3, max_size=3))
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=_frame_directions(),
+       seeds=st.sampled_from(("absent", "random", "parallel")),
+       vecs=st.lists(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+                     min_size=1, max_size=3))
+def test_section_frame_is_complete_for_any_direction_and_seed(d, seeds, vecs):
+    """The standard axes other than the one most aligned with the field
+    span the normal plane, so Gram-Schmidt over the seeds and then them
+    always ends with d - 1 axes. 1e-6 bounds the roundoff of a seed kept
+    with a residual just above the 1e-8 threshold."""
+    seed_axes = {"absent": None, "random": vecs, "parallel": [d, -2.0 * d]}[seeds]
+    sec = make_section(_constant_flow(CAT, d), _pt(CAT, (0.5, 0.5, 0.5)), 0.1,
+                       seed_axes=seed_axes)
+    assert sec.axes.shape == (2, 3)
+    assert np.allclose(sec.normal, d / np.linalg.norm(d), atol=1e-15)
+    assert np.allclose(sec.axes @ sec.axes.T, np.eye(2), atol=1e-6)
+    assert np.max(np.abs(sec.axes @ sec.normal)) < 1e-6
+
+
+def test_section_point_zero_is_base():
+    x = _pt(TORUS, (0.5, 0.1, -0.2))
+    p = section_point(TORUS, make_section(TORUS, x, 0.1), (0.0, 0.0))
+    assert np.allclose(p.coords, x.coords, atol=1e-15)
+
+
+def test_section_point_flat_translation():
+    sec = make_section(TORUS, _pt(TORUS, (0.5, 0.0, 0.0)), 0.1)
+    p = section_point(TORUS, sec, (0.3, 0.0))
+    assert np.allclose(p.coords, (0.5, 0.3, 0.0), atol=1e-12)
+
+
+def test_section_point_local_isometry():
+    rng = np.random.default_rng(5)
+    x = _pt(CAT, (0.4, 0.6, 0.3))
+    sec = make_section(CAT, x, 0.1)
+    for _ in range(500):
+        v = rng.uniform(-1, 1, size=2)
+        v *= rng.uniform(0, 0.2) / max(np.linalg.norm(v), 1e-12)
+        p = section_point(CAT, sec, v)
+        assert abs(CAT.manifold.distance(x, p) - np.linalg.norm(v)) <= 1e-9
+
+
+def test_section_point_propagates_out_of_manifold():
+    sec = make_section(TORUS, _pt(TORUS, (0.5, 0.9, 0.0)), 0.1)
+    with pytest.raises(OutOfManifold):
+        section_point(TORUS, sec, (0.5, 0.0))
 
 
 def test_holonomy_rejects_times_beyond_t_max():
@@ -222,7 +319,7 @@ def test_first_crossing_matches_sheared_closed_form(bx, r, th, a, b, t, backward
     t = -t if backward else t
     base, sec, u, y = _sheared_case(bx, r, th, a, b)
     target = make_section(SHEARED, flow_map(SHEARED, base, t), 0.1,
-                          seed_axes=sec.frame.axes)
+                          seed_axes=sec.axes)
     hit = sheared_hit_time(base.coords[1], y.coords[1], t)
     rel = np.linspace(0.0, span, int(math.ceil(span / 0.01)) + 1)
     lo = {"first": hit - frac * rel[1],
