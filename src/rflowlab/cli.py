@@ -269,7 +269,11 @@ def _run_holonomy(config, p, outdir):
             u = rng.uniform(-1.0, 1.0, size=2)
             u *= rng.uniform(0.0, domain_frac) * dom / max(np.linalg.norm(u), 1e-12)
             y = section_point(flow, sec, u)
-            res = holonomy(flow, sec, t, y, tol=tol, radius_slack=RADIUS_SLACK)
+            try:
+                res = holonomy(flow, sec, t, y, tol=tol, radius_slack=RADIUS_SLACK)
+            except RFlowError as exc:   # same type and attributes, named sample
+                exc.args = (f"base {b_idx} sample {s_idx} (t={t:.6g}): {exc}",)
+                raise
             if flow.analytic_holonomy is not None:
                 ana = flow.analytic_holonomy(base, t, u)
                 err = float(np.linalg.norm(res.image_coords - ana))

@@ -34,11 +34,14 @@ points again, such as one holonomy horizon after another, can pass each
 point's last proposed step on (``steps``) instead of starting again from
 a small guess.
 
-Section crossings use standard event location (same reference): the
-plane function is scanned over dense samples of the window, which only
-brackets the first sign change; the bracket is re-evaluated on the exact
-flow, and a bracketed secant polishes the root against exact
-re-integration until the residual meets the event tolerance.
+Section crossings use standard event location (same reference). The
+search starts from an exact state, the anchor (for a holonomy, y(t) as the
+tube batch landed it), with one dense leg back to the window start and,
+only if that leg's scan flags nothing, one forward. The scan of the plane
+function only brackets the first sign change; the bracket's ends are
+landed again from the nearer exact leg end, and a bracketed secant
+polishes the root against exact re-integration until the residual meets
+the event tolerance.
 """
 
 from __future__ import annotations
@@ -402,73 +405,88 @@ def _fill_samples(out, rows, abst, s, hh, hs, j, k, y, y_new, stages):
 
 
 def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,
-                   radius_slack: float = 1.0) -> CrossingEvent:
+                   radius_slack: float = 1.0, t0: float = 0.0,
+                   steps=None) -> CrossingEvent:
     """First crossing of the target section plane inside a time window.
 
-    The plane function is g(s) = <phi_s(y) - base, n> with n the unit field
-    direction at the target base. The orbit is carried exactly to the
-    window start, and g is scanned over dense-output states on a 0.01-spaced
-    grid of the window in ascending time. The scan only brackets: the first
-    grid point with |g| <= EVENT_TOL, or the ends of the first sign change,
-    are evaluated again on the exact flow (landed from the window start, a
-    bracket's far end from its near end) until the first flagged point or
-    bracket holds on exact values, and a bracketed secant (Illinois)
-    polishes the root by exact re-integration from the bracket's first
-    end. The result has |g| <= EVENT_TOL, or NoCrossing is raised. A hit
-    farther than radius_slack times the section radius from the base raises
-    LeftTube; that decision is made on the exact hit.
+    y is the orbit's state at time t0, on whose clock the window and every
+    reported time are. The plane function is g(s) = <phi_s(y) - base, n>
+    with n the unit field direction at the target base. The scan grid, at
+    most 0.01 apart, is built outward from the anchor, an exact state: y
+    when the window holds t0, else y landed on the window start. One dense
+    leg runs back from the anchor and lands on the window start; the leg
+    forward runs only when [window start, anchor] flags nothing. The scan,
+    in ascending time, only brackets: the first grid point with |g| <=
+    EVENT_TOL, or the ends of the first sign change, are landed again (a
+    bracket's far end from its near end, others from the nearer of the
+    window start and the anchor) until they hold on exact values, and a
+    bracketed secant (Illinois) polishes the root by exact re-integration
+    from the bracket's first end. The result has |g| <= EVENT_TOL, or
+    NoCrossing is raised. A hit farther than radius_slack times the section
+    radius from the base raises LeftTube; that decision is made on the
+    exact hit. ``steps`` is as in ``orbit_batch``, for the first leg.
     """
     w_lo, w_hi = float(window[0]), float(window[1])
     if w_hi < w_lo:
         raise ValueError("window must be (lo, hi) with lo <= hi")
     if max(-w_lo, w_hi) > T_MAX:
         raise ValueError(f"window reaches beyond |t| = T_MAX = {T_MAX}")
-    m = f.manifold
-    base = target.base.coords
-    nhat = target.normal
-
-    steps = np.full(1, np.nan)   # every integration continues the last's step
+    m, base, nhat = f.manifold, target.base.coords, target.normal
+    # every integration continues the last's step
+    steps = np.full(1, np.nan) if steps is None else steps
 
     def land(start, dt):
         """The state dt after ``start``, landed on exactly."""
         return orbit_batch(f, start[None], np.array([dt]), tol, steps)[0, 0]
 
-    y_lo = land(y.coords, w_lo)
-    n_grid = int(math.ceil((w_hi - w_lo) / 0.01)) + 1
-    rel = np.linspace(0.0, w_hi - w_lo, n_grid)
-    states = orbit_batch(f, y_lo[None], rel, tol, steps)[0]
-    states[0] = y_lo    # wrapping again need not give back the same bits
-    disps = m.displacement(base, states)
-    gvals = disps @ nhat
-    exact = np.zeros(n_grid, dtype=bool)
-    exact[0] = True
-    while True:
-        hits = np.abs(gvals) <= EVENT_TOL
-        changes = np.zeros(n_grid, dtype=bool)
-        changes[1:] = (gvals[1:] > 0) != (gvals[:-1] > 0)
-        first = np.flatnonzero(hits | changes)
-        if first.size == 0:
-            raise NoCrossing(f"{f.name}: no section crossing in window "
-                             f"[{w_lo:.6g}, {w_hi:.6g}]")
-        i = int(first[0])
-        ends = np.array([i]) if hits[i] else np.array([i - 1, i])
-        stale = ends[~exact[ends]]
-        if stale.size == 0:
+    lo, hi = w_lo - t0, w_hi - t0       # times from here on are from t0
+    anchor = 0.0 if lo <= 0.0 <= hi else lo
+    y_a = y.coords if anchor == 0.0 else land(y.coords, anchor)
+    back, fwd = (np.linspace(0.0, d, int(math.ceil(abs(d) / 0.01)) + 1)
+                 for d in (lo - anchor, hi - anchor))
+    ia = back.size - 1                  # the anchor's node
+    rel = np.concatenate((back[::-1], fwd[1:]))
+    states = np.concatenate((orbit_batch(f, y_a[None], back[1:], tol, steps)[0, ::-1],
+                             y_a[None], np.empty((fwd.size - 1, y_a.size))))
+    exact = np.isin(np.arange(rel.size), (0, ia))
+    for n in (ia + 1, rel.size) if 0 < ia < rel.size - 1 else (rel.size,):
+        if n > ia + 1:      # nothing flagged up to the anchor: the forward leg
+            states[ia + 1:] = orbit_batch(f, y_a[None], fwd, tol, steps)[0, 1:]
+        disps = m.displacement(base, states[:n])
+        gvals = disps @ nhat
+        while True:
+            hits = np.abs(gvals) <= EVENT_TOL
+            changes = np.zeros(n, dtype=bool)
+            changes[1:] = (gvals[1:] > 0) != (gvals[:-1] > 0)
+            first = np.flatnonzero(hits | changes)
+            if first.size == 0:
+                break
+            i = int(first[0])
+            ends = np.array([i]) if hits[i] else np.array([i - 1, i])
+            stale = ends[~exact[ends]]
+            if stale.size == 0:
+                break
+            for k in stale:
+                # a bracket's far end is landed from its near end, as in the
+                # polish; any other from the window start or the anchor
+                k0 = ends[0] if k != ends[0] and exact[ends[0]] else \
+                    (0 if k < ia - k else ia)
+                states[k] = land(states[k0], rel[k] - rel[k0])
+                exact[k] = True
+            disps[stale] = m.displacement(base, states[stale])
+            gvals[stale] = disps[stale] @ nhat
+        if first.size:
             break
-        for k in stale:
-            # a bracket's far end is landed from its near end, as in the polish
-            k0 = ends[0] if k != ends[0] and exact[ends[0]] else 0
-            states[k] = land(states[k0], rel[k] - rel[k0])
-            exact[k] = True
-        disps[stale] = m.displacement(base, states[stale])
-        gvals[stale] = disps[stale] @ nhat
+    else:
+        raise NoCrossing(f"{f.name}: no section crossing in window "
+                         f"[{w_lo:.6g}, {w_hi:.6g}]")
     if hits[i]:
         k = ends[0]
-        s_hit = w_lo + float(rel[k])
+        s_hit = anchor + float(rel[k])
         w_hit, disp, g_hit = states[k], disps[k], float(gvals[k])
     else:
         ka, kb = ends
-        a, b = w_lo + float(rel[ka]), w_lo + float(rel[kb])
+        a, b = anchor + float(rel[ka]), anchor + float(rel[kb])
         ga, gb = float(gvals[ka]), float(gvals[kb])
         s0, y0 = a, states[ka]
 
@@ -478,8 +496,7 @@ def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,
             return float(np.dot(d, nhat)), d, w
 
         # bracketed secant (Illinois) on the exact flow
-        s_hit = None
-        side = 0
+        s_hit, side = None, 0
         for _ in range(80):
             if abs(b - a) < 1e-15 or abs(gb - ga) < 1e-300:
                 break
@@ -503,18 +520,16 @@ def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,
         if s_hit is None:
             s_hit = 0.5 * (a + b)
             g_hit, disp, w_hit = g_exact(s_hit)
-            if abs(g_hit) > EVENT_TOL:
-                raise NoCrossing(f"{f.name}: crossing residual {g_hit:.3g} near "
-                                 f"t={s_hit:.6g} above EVENT_TOL {EVENT_TOL:.3g}")
+    s_hit = t0 + s_hit
+    if abs(g_hit) > EVENT_TOL:
+        raise NoCrossing(f"{f.name}: crossing residual {g_hit:.3g} near "
+                         f"t={s_hit:.6g} above EVENT_TOL {EVENT_TOL:.3g}")
 
-    offset_vec = disp - g_hit * nhat
-    u = target.axes @ offset_vec
+    u = target.axes @ (disp - g_hit * nhat)
     off = float(np.linalg.norm(u))
     if off > target.radius * radius_slack + 1e-12:
-        raise LeftTube(
-            f"{f.name}: crossing at t={s_hit:.6g} lies {off:.3g} from the base "
-            f"(section radius {target.radius:.3g})",
-            hit_time=s_hit, offset=off,
-        )
+        raise LeftTube(f"{f.name}: crossing at t={s_hit:.6g} lies {off:.3g} from "
+                       f"the base (section radius {target.radius:.3g})",
+                       hit_time=s_hit, offset=off)
     return CrossingEvent(hit_point=Point(_readonly(w_hit)), hit_time=float(s_hit),
                          residual=float(g_hit), offset_coords=u)

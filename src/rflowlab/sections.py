@@ -127,34 +127,35 @@ def holonomy(f: FlowSpec, source: CrossSection, t: float, y: Point,
              tol: float = DEFAULT_TOL, radius_slack: float = 1.0) -> HolonomyResult:
     """Holonomy P over time t from the source section to the one at phi_t(base).
 
-    One ``orbit_batch`` of ``[base, y]`` checks the tube and gives the
-    target base phi_t(base) as its base row's last sample. The crossing of
-    the target plane is located inside one window of half-width
-    beta * ||X(phi_t(base))|| around t. ``radius_slack`` relaxes the
-    target-radius containment check (slack > 1 lets callers measure how far
-    outside the tube an image lands instead of erroring).
+    One ``orbit_batch`` of ``[base, y]`` checks the tube, and its rows'
+    last samples are the target base phi_t(base) and y(t). The crossing of
+    the target plane is searched from y(t), with y's next step size, inside
+    one window of half-width beta * ||X(phi_t(base))|| around t: an image
+    on the target plane at t hits at exactly t. ``radius_slack`` relaxes
+    the target-radius containment check (slack > 1 lets callers measure how
+    far outside the tube an image lands instead of erroring).
     """
     if abs(t) > T_MAX:
         raise ValueError(f"|t|={abs(t)} exceeds T_MAX={T_MAX}")
-    tube_ok, states = _tube_inequality_holds(f, source, y, t, tol)
+    steps = np.full(2, np.nan)
+    tube_ok, states = _tube_inequality_holds(f, source, y, t, tol, steps)
     target_base = Point(_readonly(states[0, -1]))
-    target = make_section(f, target_base, source.beta,
-                          seed_axes=source.axes)
+    target = make_section(f, target_base, source.beta, seed_axes=source.axes)
     w = max(target.radius, 1e-9)
-    event = first_crossing(f, y, target, window=(t - w, t + w), tol=tol,
-                           radius_slack=radius_slack)
+    event = first_crossing(f, Point(states[1, -1]), target, (t - w, t + w), tol,
+                           radius_slack, t0=t, steps=steps[1:])
     return HolonomyResult(image=event.hit_point, hit_time=event.hit_time,
                           tube_ok=tube_ok, image_coords=event.offset_coords,
                           target=target, residual=event.residual)
 
 
-def _tube_inequality_holds(f, source, y, t, tol):
+def _tube_inequality_holds(f, source, y, t, tol, steps=None):
     """Whether y's orbit stays in the rescaled tube, and the (2, m, d)
     states of ``[base, y]`` at the tube samples, which end at time t."""
     times = np.unique(_tube_samples(t))
     ordered = times if t >= 0 else times[::-1]
     pair = np.vstack([source.base.coords, y.coords])
-    states = orbit_batch(f, pair, ordered, tol=tol)
+    states = orbit_batch(f, pair, ordered, tol=tol, steps=steps)
     bounds = source.beta * np.linalg.norm(f.field(states[0]), axis=-1)
     dists = f.manifold.distance_array(states[0], states[1])
     return bool(np.all(dists <= bounds * (1 + 1e-9) + 1e-12)), states

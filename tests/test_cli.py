@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from rflowlab import cli
 from rflowlab.cli import (CHECKS, COMMANDS, DEFAULTS, ExperimentConfig,
                           load_config, main, resolved_params, run, validate)
+from rflowlab.errors import LeftTube, NoCrossing
 from rflowlab.flows import FLOW_NAMES
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -288,6 +289,38 @@ def test_exit_code_3_on_computation_error(tmp_path):
     assert code == 3
     manifest = json.loads((tmp_path / "uef_bad" / "manifest.json").read_text())
     assert manifest["status"] == "computation-error"
+
+
+@pytest.mark.parametrize("error", [
+    lambda: NoCrossing("no section crossing in window [0.9, 1.1]"),
+    lambda: LeftTube("crossing at t=1.05 lies off the section",
+                     hit_time=1.05, offset=0.2)])
+def test_holonomy_error_names_the_failing_sample(tmp_path, monkeypatch, error):
+    """A sample's computation error keeps its type and attributes, and the
+    manifest names its base, sample and t."""
+    real, calls = cli.holonomy, []
+
+    def fourth_fails(*args, **kwargs):     # base 1, sample 1 at one worker
+        calls.append(args)
+        if len(calls) == 4:
+            raise error()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "holonomy", fourth_fails)
+    cfg = ExperimentConfig(
+        flow="cat_suspension", command="holonomy",
+        params={"beta": 0.1, "t": 1.0, "n_samples": 4, "n_bases": 2},
+        output_dir=str(tmp_path / "hol"), seed=5, workers=1)
+    assert run(cfg) == 3
+    manifest = json.loads((tmp_path / "hol" / "manifest.json").read_text())
+    assert manifest["status"] == "computation-error"
+    want = error()
+    assert manifest["error"] == (f"{type(want).__name__}: base 1 sample 1 "
+                                 f"(t=1): {want}")
+    calls.clear()
+    with pytest.raises(type(want)) as exc:
+        cli._run_holonomy(cfg, resolved_params(cfg), tmp_path / "hol")
+    assert vars(exc.value) == vars(want)
 
 
 def test_holonomy_run_outputs(tmp_path):

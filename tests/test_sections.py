@@ -248,7 +248,11 @@ unit = st.floats(0.0, 1.0)
        t=st.floats(0.5, 3.0), backward=st.booleans(),
        angle=st.floats(0.0, 2 * math.pi), frac=st.floats(0.0, 0.98))
 def test_holonomy_matches_analytic_property(flow, a, b, c, t, backward, angle, frac):
-    """y shares the base's along-field coordinate, so it hits at time t."""
+    """y shares the base's along-field coordinate, so it hits at time t:
+    the crossing search starts at y(t) from the tube batch, finds the hit
+    there, exactly at t, and integrates once, back to the window start (a
+    spy on ``integrate.orbit_batch``, which the tube batch does not go
+    through)."""
     t = -t if backward else t
     x = _base(flow, a, b, c)
     if flow is CAT:
@@ -259,8 +263,12 @@ def test_holonomy_matches_analytic_property(flow, a, b, c, t, backward, angle, f
     sec = make_section(flow, x, beta)
     dom = beta / flow.rescale.L ** abs(t) * sec.base_field_norm
     u = frac * dom * np.array([math.cos(angle), math.sin(angle)])
-    res = holonomy(flow, sec, t, section_point(flow, sec, u), radius_slack=4.0)
-    assert abs(res.hit_time - t) <= 1e-6
+    with mock.patch.object(integrate, "orbit_batch",
+                           wraps=integrate.orbit_batch) as spy:
+        res = holonomy(flow, sec, t, section_point(flow, sec, u),
+                       radius_slack=4.0)
+    assert spy.call_count == 1
+    assert res.hit_time == t
     assert abs(res.residual) <= 1e-10
     assert np.linalg.norm(res.image_coords - flow.analytic_holonomy(x, t, u)) <= 1e-6
 
@@ -288,7 +296,7 @@ def test_holonomy_matches_sheared_closed_form(bx, r, th, a, b, t, backward, tol)
     """Where the crossing time varies across the section: the hit time is
     ``sheared_hit_time`` and the image is u; NoCrossing exactly where that
     time leaves the window t +- radius, else LeftTube exactly where u
-    leaves the radius."""
+    leaves the radius, with LeftTube's hit time on the same clock as t."""
     t = -t if backward else t
     base, sec, u, y = _sheared_case(bx, r, th, a, b)
     hit = sheared_hit_time(base.coords[1], y.coords[1], t)
@@ -296,8 +304,10 @@ def test_holonomy_matches_sheared_closed_form(bx, r, th, a, b, t, backward, tol)
     late, wide = abs(hit - t) - w, np.linalg.norm(u) - w
     assume(abs(late) > 1e-9 * (1.0 + abs(t)) and abs(wide) > 1e-9)
     if late > 0 or wide > 0:
-        with pytest.raises(NoCrossing if late > 0 else LeftTube):
+        with pytest.raises(NoCrossing if late > 0 else LeftTube) as exc:
             holonomy(SHEARED, sec, t, y, tol=tol)
+        if late <= 0:
+            assert abs(exc.value.hit_time - hit) <= 10 * tol * (1.0 + abs(t))
         return
     res = holonomy(SHEARED, sec, t, y, tol=tol)
     assert abs(res.hit_time - hit) <= 10 * tol * (1.0 + abs(t))
@@ -349,10 +359,11 @@ def test_holonomy_polishes_the_helical_flows_curved_plane_function():
     scan's grid bisected, checks holonomy's hit time within 10 tol (1 + t),
     or LeftTube where that root lies beyond the section radius. A spy on
     ``integrate.orbit_batch`` (which the tube batch does not go through)
-    bounds first_crossing's exact integrations per crossing: the landing,
-    the scan, the re-landed bracket ends and the polish steps. Regula
-    falsi without the Illinois halving keeps one bracket end and stalls
-    on the bent side; on these draws it took up to 18 calls."""
+    bounds first_crossing's exact integrations per crossing: the leg back
+    from y(t) to the window start, the forward leg, the re-landed bracket
+    ends and the polish steps. Regula falsi without the Illinois halving
+    keeps one bracket end and stalls on the bent side; on these draws it
+    took up to 18 calls."""
     flow = helical_flow(HELIX_OMEGA)
     rng = np.random.default_rng(2)
     tol, calls = 1e-7, []
