@@ -25,7 +25,8 @@ script), so two commits compare with one ``diff`` of two listings. The
 wall time of each run goes to standard error as one ``<name> <seconds>``
 line, so the listing itself stays the same from run to run.
 
-The exit status is 1 when any config or demo does not exit 0.
+The exit status is 1 when any config or demo does not exit 0, and 2,
+before anything runs, when a NAME is neither a config's nor a demo's stem.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(repo / "src"))
     configs = sorted(p.stem for p in (repo / "configs").glob("*.json"))
     demos = sorted(p.stem for p in (repo / "demos").glob("*.py"))
+    unknown = [name for name in args.names if name not in configs + demos]
+    if unknown:
+        print(f"config_hashes: no config or demo named {' '.join(unknown)}",
+              file=sys.stderr)
+        return 2
     names = args.names or configs + demos
     out = args.out or Path(tempfile.mkdtemp(prefix="config_hashes_"))
     lines, failed = [], []

@@ -33,6 +33,7 @@ from .errors import RFlowError
 from .flows import FLOW_NAMES, get_flow, sample_points
 from .integrate import T_MAX
 from .rsets import (
+    ExpansivityVerdict,
     check_expansivity,
     compute_rset,
     sphere_reach,
@@ -365,10 +366,8 @@ def _run_expansivity(config, p, outdir):
         return check_expansivity(flow, [x], beta, t, n_max, resolution,
                                  tol=tol).per_point[0]
 
-    per_point = _parallel_map(config.workers, work, pts)
-    overall = "counterexample-found" if any(not e["trivial_intersection"]
-                                            for e in per_point) \
-        else "consistent-with-R-expansive"
+    verdict = ExpansivityVerdict(_parallel_map(config.workers, work, pts))
+    per_point = verdict.per_point
     rows = [[i, _fmt(e["point"][0]), _fmt(e["point"][1]), _fmt(e["point"][2]),
              int(e["trivial_intersection"]), e["intersection_cells"],
              e["stable_members"], e["unstable_members"]]
@@ -377,7 +376,7 @@ def _run_expansivity(config, p, outdir):
                ["idx", "x0", "x1", "x2", "trivial", "intersection_cells",
                 "stable_members", "unstable_members"], rows)
     summary = {
-        "flow": config.flow, "overall": overall,
+        "flow": config.flow, "overall": verdict.overall,
         "params": {"beta": beta, "t": t, "n_max": n_max,
                    "resolution": resolution},
         "points": per_point,

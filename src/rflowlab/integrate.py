@@ -22,24 +22,25 @@ changes the trajectory.
 
 A field with kinks (a flow's ``switch``) would defeat the error estimate
 of a step across one, which assumes a smooth field. A step that changes
-the switch's sign is therefore taken again, to end just past the zero the
-dense interpolant locates (the same reference, and Gear and Osterby,
-ACM TOMS 10, 1984), so no accepted step straddles a kink by more than a
-few tolerances. A kink the orbits only approach (an equilibrium such as
-the solid torus's singular disk) is crossed by no step's end but can be
-by its inner stages: a step longer than 1.02 / lam, lam the field's rate
-of change estimated from its first two stages, is taken again, and no
-step proposes more than 1.01 / lam. A caller that integrates the same
+the switch's sign is therefore taken again, to end just past the zero
+that ``_illinois`` locates on the dense interpolant (the same reference,
+and Gear and Osterby, ACM TOMS 10, 1984), so no accepted step straddles a
+kink by more than a few tolerances. A kink the orbits only approach (an
+equilibrium such as the solid torus's singular disk) is crossed by no
+step's end but can be by its inner stages: a step longer than 1.02 / lam,
+lam the field's rate of change estimated from its first two stages, is
+taken again, and no step proposes more than 1.01 / lam. A caller that integrates the same
 points again, such as one holonomy horizon after another, can pass each
 point's last proposed step on (``steps``) instead of starting again from
 a small guess.
 
 Section crossings use standard event location (same reference). The
-search starts from an exact state, the anchor (for a holonomy, y(t) as the
-tube batch landed it), with one dense leg back to the window start and,
-only if that leg's scan flags nothing, one forward. The scan of the plane
-function only brackets the first sign change; the bracket's ends are
-landed again from the nearer exact leg end, and a bracketed secant
+search starts from the exact state it is given, the anchor, which lies in
+its window (for a holonomy, y(t) as the tube batch landed it), with one
+dense leg back to the window start and, only if that leg's scan flags
+nothing, one forward. The scan of the plane function only brackets the
+first sign change; the bracket's ends are landed again from the nearer
+exact leg end, and ``_illinois``, the same routine as for the kinks,
 polishes the root against exact re-integration until the residual meets
 the event tolerance.
 """
@@ -154,20 +155,20 @@ def _initial_step(f0, duration):
         1e-8, 0.02 / (1.0 + np.maximum.reduce(np.abs(f0)))))
 
 
-def _switch_zero(switch, coeffs, g0, g1, width):
-    """Step fractions at or just past the first zero of ``switch`` along
-    each row's dense interpolant, from values g0 at 0 and g1 at 1 on either
-    side of it (side meaning ``> 0`` or not); bracketed secant (Illinois)
-    until each row's bracket is narrower than its ``width``."""
-    a, b = np.zeros_like(g0), np.ones_like(g0)
-    ga, gb = g0, g1
-    a_last = b_last = np.zeros(g0.shape, dtype=bool)   # end moved last time
+def _illinois(g, a, b, ga, gb, width, gtol=None):
+    """Bracketed secant (Illinois; Dowell and Jarratt, BIT 11, 1971) on
+    each row's bracket a < b, whose values ga, gb lie on either side of a
+    zero of g (side meaning ``> 0`` or not). ``g`` maps one point per row
+    to one value per row. A row stops when its bracket is narrower than
+    its ``width``, or, given ``gtol``, when a point has |g| <= gtol, which
+    becomes both of its ends. Returns the final (a, b)."""
+    a_last = b_last = np.zeros(a.shape, dtype=bool)    # end moved last time
     for _ in range(60):
         act = b - a > width
         if not np.count_nonzero(act):
             break
         mid = np.minimum(np.maximum((a * gb - b * ga) / (gb - ga), a), b)
-        gm = switch(_dense(coeffs, mid).T)
+        gm = g(mid)
         move_a = act & ((gm > 0) == (ga > 0))
         move_b = act ^ move_a
         # an end kept twice in a row has its value halved
@@ -176,7 +177,10 @@ def _switch_zero(switch, coeffs, g0, g1, width):
         a, ga = np.where(move_a, mid, a), np.where(move_a, gm, ga)
         b, gb = np.where(move_b, mid, b), np.where(move_b, gm, gb)
         a_last, b_last = move_a | (a_last & ~act), move_b | (b_last & ~act)
-    return b
+        if gtol is not None:
+            hit = act & (np.abs(gm) <= gtol)
+            a, b = np.where(hit, mid, a), np.where(hit, mid, b)
+    return a, b
 
 
 def flow_map(f, x: Point, t: float, tol: float = DEFAULT_TOL) -> Point:
@@ -328,8 +332,10 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
                 coeffs = _dense_coeffs(y[:, c], y_new[:, c], hs[c],
                                        [k if k.shape[1] == 1 else k[:, c]
                                         for k in stages])
-                th = _switch_zero(switch, coeffs, switch(y[:, c].T), g_new[c],
-                                  0.125 * reach / hh[c])
+                g0 = switch(y[:, c].T)
+                th = _illinois(lambda x: switch(_dense(coeffs, x).T),
+                               np.zeros_like(g0), np.ones_like(g0), g0,
+                               g_new[c], 0.125 * reach / hh[c])[1]
                 again = (1.0 - th) * hh[c] > reach
                 redo = np.arange(cross.size)[c][again]
                 land[redo] = th[again] * hh[redo] + 0.25 * reach
@@ -410,25 +416,26 @@ def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,
     """First crossing of the target section plane inside a time window.
 
     y is the orbit's state at time t0, on whose clock the window and every
-    reported time are. The plane function is g(s) = <phi_s(y) - base, n>
-    with n the unit field direction at the target base. The scan grid, at
-    most 0.01 apart, is built outward from the anchor, an exact state: y
-    when the window holds t0, else y landed on the window start. One dense
-    leg runs back from the anchor and lands on the window start; the leg
-    forward runs only when [window start, anchor] flags nothing. The scan,
-    in ascending time, only brackets: the first grid point with |g| <=
-    EVENT_TOL, or the ends of the first sign change, are landed again (a
-    bracket's far end from its near end, others from the nearer of the
-    window start and the anchor) until they hold on exact values, and a
-    bracketed secant (Illinois) polishes the root by exact re-integration
-    from the bracket's first end. The result has |g| <= EVENT_TOL, or
-    NoCrossing is raised. A hit farther than radius_slack times the section
-    radius from the base raises LeftTube; that decision is made on the
-    exact hit. ``steps`` is as in ``orbit_batch``, for the first leg.
+    reported time are; t0 must lie in the window, else ValueError. The
+    plane function is g(s) = <phi_s(y) - base, n> with n the unit field
+    direction at the target base. The scan grid, at most 0.01 apart, is
+    built outward from y, the anchor. One dense leg runs back from it and
+    lands on the window start; the leg forward runs only when [window
+    start, t0] flags nothing. The scan, in ascending time, only brackets:
+    the first grid point with |g| <= EVENT_TOL, or the ends of the first
+    sign change, are landed again (a bracket's far end from its near end,
+    others from the nearer of the window start and the anchor) until they
+    hold on exact values, and ``_illinois`` polishes the root by exact
+    re-integration from the bracket's first end. The result has |g| <=
+    EVENT_TOL, or NoCrossing is raised. A hit farther than radius_slack
+    times the section radius from the base raises LeftTube; that decision
+    is made on the exact hit. ``steps`` is as in ``orbit_batch``, for the
+    first leg.
     """
     w_lo, w_hi = float(window[0]), float(window[1])
-    if w_hi < w_lo:
-        raise ValueError("window must be (lo, hi) with lo <= hi")
+    if not w_lo <= t0 <= w_hi:
+        raise ValueError(f"t0={t0:.6g} lies outside the window "
+                         f"[{w_lo:.6g}, {w_hi:.6g}]")
     if max(-w_lo, w_hi) > T_MAX:
         raise ValueError(f"window reaches beyond |t| = T_MAX = {T_MAX}")
     m, base, nhat = f.manifold, target.base.coords, target.normal
@@ -439,11 +446,9 @@ def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,
         """The state dt after ``start``, landed on exactly."""
         return orbit_batch(f, start[None], np.array([dt]), tol, steps)[0, 0]
 
-    lo, hi = w_lo - t0, w_hi - t0       # times from here on are from t0
-    anchor = 0.0 if lo <= 0.0 <= hi else lo
-    y_a = y.coords if anchor == 0.0 else land(y.coords, anchor)
+    y_a = y.coords                      # the anchor; times are from t0
     back, fwd = (np.linspace(0.0, d, int(math.ceil(abs(d) / 0.01)) + 1)
-                 for d in (lo - anchor, hi - anchor))
+                 for d in (w_lo - t0, w_hi - t0))
     ia = back.size - 1                  # the anchor's node
     rel = np.concatenate((back[::-1], fwd[1:]))
     states = np.concatenate((orbit_batch(f, y_a[None], back[1:], tol, steps)[0, ::-1],
@@ -482,44 +487,24 @@ def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,
                          f"[{w_lo:.6g}, {w_hi:.6g}]")
     if hits[i]:
         k = ends[0]
-        s_hit = anchor + float(rel[k])
+        s_hit = float(rel[k])
         w_hit, disp, g_hit = states[k], disps[k], float(gvals[k])
     else:
         ka, kb = ends
-        a, b = anchor + float(rel[ka]), anchor + float(rel[kb])
-        ga, gb = float(gvals[ka]), float(gvals[kb])
-        s0, y0 = a, states[ka]
 
         def g_exact(s):
-            w = land(y0, s - s0)
-            d = m.displacement(base, w)
-            return float(np.dot(d, nhat)), d, w
+            """g at s[0] by re-integration, whose state is kept as the hit's."""
+            nonlocal w_hit, disp, g_hit
+            w_hit = land(states[ka], s[0] - rel[ka])
+            disp = m.displacement(base, w_hit)
+            g_hit = float(np.dot(disp, nhat))
+            return np.array([g_hit])
 
-        # bracketed secant (Illinois) on the exact flow
-        s_hit, side = None, 0
-        for _ in range(80):
-            if abs(b - a) < 1e-15 or abs(gb - ga) < 1e-300:
-                break
-            mid = (a * gb - b * ga) / (gb - ga)
-            if not (min(a, b) <= mid <= max(a, b)):
-                mid = 0.5 * (a + b)
-            gm, d_m, w_m = g_exact(mid)
-            if abs(gm) <= EVENT_TOL:
-                s_hit, g_hit, w_hit, disp = mid, gm, w_m, d_m
-                break
-            if (gm > 0) == (ga > 0):
-                a, ga = mid, gm
-                if side == -1:
-                    gb *= 0.5
-                side = -1
-            else:
-                b, gb = mid, gm
-                if side == 1:
-                    ga *= 0.5
-                side = 1
-        if s_hit is None:
-            s_hit = 0.5 * (a + b)
-            g_hit, disp, w_hit = g_exact(s_hit)
+        a, b = _illinois(g_exact, rel[ka:ka + 1], rel[kb:kb + 1],
+                         gvals[ka:ka + 1], gvals[kb:kb + 1], 1e-15, EVENT_TOL)
+        s_hit = float(0.5 * (a[0] + b[0]))
+        if a[0] != b[0]:        # no point met EVENT_TOL: take the middle
+            g_exact([s_hit])
     s_hit = t0 + s_hit
     if abs(g_hit) > EVENT_TOL:
         raise NoCrossing(f"{f.name}: crossing residual {g_hit:.3g} near "

@@ -134,7 +134,13 @@ class UniformExpansivenessReport:
 @dataclass
 class ExpansivityVerdict:
     per_point: list   # dicts: point, trivial, witness (or None), member counts
-    overall: str      # "consistent-with-R-expansive" | "counterexample-found"
+
+    @property
+    def overall(self) -> str:
+        """A witness at any point is a counterexample."""
+        if any(not e["trivial_intersection"] for e in self.per_point):
+            return "counterexample-found"
+        return "consistent-with-R-expansive"
 
 
 @dataclass
@@ -427,8 +433,7 @@ def check_expansivity(f: FlowSpec, points, beta: float, t: float, n_max: int,
     the rescaled tolerance.
     """
     per_point = []
-    overall = "consistent-with-R-expansive"
-    for idx, x in enumerate(points):
+    for x in points:
         gs = compute_rset(f, x, beta, t, n_max, resolution, "stable", tol=tol,
                           with_components=False)
         gu = compute_rset(f, x, beta, t, n_max, resolution, "unstable", tol=tol,
@@ -445,7 +450,6 @@ def check_expansivity(f: FlowSpec, points, beta: float, t: float, n_max: int,
                        "u": float(coords[0]), "v": float(coords[1]),
                        "stable_horizon": gs.horizon_certified,
                        "unstable_horizon": gu.horizon_certified}
-            overall = "counterexample-found"
         entry = {
             "point": [float(v) for v in x.coords],
             "trivial_intersection": witness is None,
@@ -457,7 +461,7 @@ def check_expansivity(f: FlowSpec, points, beta: float, t: float, n_max: int,
             "unstable_horizon": gu.horizon_certified,
         }
         per_point.append(entry)
-    return ExpansivityVerdict(per_point=per_point, overall=overall)
+    return ExpansivityVerdict(per_point=per_point)
 
 
 def uniform_expansiveness_scan(f: FlowSpec, sample_points, eta: float,

@@ -472,3 +472,16 @@ def test_numpy_is_the_only_runtime_dependency():
 
     assert names(project["dependencies"]) == {"numpy"}
     assert "scipy" in names(project["optional-dependencies"]["test"])
+
+
+def test_config_hashes_rejects_unknown_names_before_running():
+    """A NAME that is neither a config's nor a demo's stem exits 2 with one
+    line naming it, before any run: the known name before it prints no
+    timing line."""
+    script = CONFIGS.parent / "scripts" / "config_hashes.py"
+    done = subprocess.run([sys.executable, str(script), "tube_cat", "tube_tours"],
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "config_hashes: no config or demo named tube_tours"]

@@ -446,6 +446,72 @@ def test_steps_at_the_minimum_size_are_taken_whatever_their_error():
     assert np.allclose(got[0, 0], x[0], atol=1e-13)
 
 
+def _exp_rows(p, c):
+    """g(x) = exp(p x) - c, one (p, c) per row: root log(c) / p, steep on
+    the right for large p."""
+    return lambda x: np.exp(p * x) - c
+
+
+def test_illinois_rows_keep_their_solo_bits():
+    """Rows with different brackets, functions and widths in one call end
+    with the same bits as each row alone."""
+    p, c = np.array([1.0, 4.0, 10.0, 3.0]), np.array([1.5, 3.0, 2.0, 0.2])
+    a, b = np.array([0.0, 0.1, 0.0, -2.0]), np.array([1.0, 0.5, 1.0, 0.0])
+    width = np.array([1e-12, 1e-6, 0.0, 1e-9])
+    g = _exp_rows(p, c)
+    got = integrate._illinois(g, a, b, g(a), g(b), width, 1e-13)
+    for r in range(p.size):
+        rs = slice(r, r + 1)
+        g1 = _exp_rows(p[rs], c[rs])
+        solo = integrate._illinois(g1, a[rs], b[rs], g1(a[rs]), g1(b[rs]),
+                                   width[rs], 1e-13)
+        assert got[0][r] == solo[0][0] and got[1][r] == solo[1][0], r
+
+
+def test_illinois_stops_on_width_or_on_g():
+    """Without a |g| stop each row ends with its bracket, still around the
+    root, no wider than its own width; with one, a row may end on a point
+    with |g| <= gtol, both of its ends there."""
+    p, c = np.array([1.0, 4.0, 10.0]), np.array([1.5, 3.0, 2.0])
+    g = _exp_rows(p, c)
+    lo, hi = np.zeros(3), np.ones(3)
+    width = np.array([1e-3, 1e-7, 1e-12])
+    a, b = integrate._illinois(g, lo, hi, g(lo), g(hi), width)
+    root = np.log(c) / p
+    assert np.all(b - a <= width)
+    assert np.all((a <= root) & (root <= b))
+    assert np.all((g(a) <= 0) & (g(b) > 0))
+    a, b = integrate._illinois(g, lo, hi, g(lo), g(hi), 0.0, 1e-12)
+    assert np.array_equal(a, b)
+    assert np.all(np.abs(g(a)) <= 1e-12)
+
+
+def test_illinois_converges_where_plain_regula_falsi_stalls():
+    """exp(10 x) - 2 on [0, 1] is steep on its right, so regula falsi
+    without the halving keeps the right end and creeps up from the left.
+    Illinois halves the kept end's value and meets |g| <= 1e-12 within 20
+    evaluations; the plain method does not within 60."""
+    fn, calls = _exp_rows(10.0, 2.0), []
+
+    def g(x):
+        calls.append(x)
+        return fn(x)
+
+    lo, hi = np.zeros(1), np.ones(1)
+    a, b = integrate._illinois(g, lo, hi, fn(lo), fn(hi), 0.0, 1e-12)
+    assert a[0] == b[0] and abs(fn(a[0])) <= 1e-12
+    assert len(calls) <= 20
+    a, b, ga, gb = 0.0, 1.0, fn(0.0), fn(1.0)
+    for _ in range(60):
+        mid = (a * gb - b * ga) / (gb - ga)
+        gm = fn(mid)
+        assert abs(gm) > 1e-12
+        if (gm > 0) == (ga > 0):
+            a, ga = mid, gm
+        else:
+            b, gb = mid, gm
+
+
 def test_first_crossing_at_base():
     x = _pt(CAT, (0.4, 0.6, 0.3))
     sec = make_section(CAT, x, 0.1)
@@ -481,6 +547,15 @@ def test_first_crossing_no_crossing():
     y = _pt(RIGID, (1.0, 0.0, 0.0))
     with pytest.raises(NoCrossing):
         first_crossing(RIGID, y, sec, window=(0.0, 0.5))
+
+
+@pytest.mark.parametrize("window, t0", [((0.5, 1.0), 0.0), ((1.0, 0.5), 0.7),
+                                        ((0.0, 1.0), 1.5)])
+def test_first_crossing_needs_t0_in_its_window(window, t0):
+    base = _pt(RIGID, (0.0, 0.0, 0.0))
+    sec = make_section(RIGID, base, 0.1)
+    with pytest.raises(ValueError, match="window"):
+        first_crossing(RIGID, _pt(RIGID, (1.0, 0.0, 0.0)), sec, window, t0=t0)
 
 
 def test_first_crossing_residual_meets_event_tol_or_raises(monkeypatch):

@@ -318,33 +318,43 @@ def test_holonomy_matches_sheared_closed_form(bx, r, th, a, b, t, backward, tol)
 @settings(max_examples=120, deadline=None)
 @given(**SHEARED_DRAWS, span=st.floats(0.05, 0.5), frac=st.floats(0.001, 0.999),
        k=st.integers(0, 1000),
-       where=st.sampled_from(("first", "last", "grid", "before", "after")))
+       where=st.sampled_from(("first", "last", "grid", "before", "after")),
+       at=st.one_of(st.just(0.0), st.floats(0.001, 0.999)))
 def test_first_crossing_matches_sheared_closed_form(bx, r, th, a, b, t, backward,
-                                                    tol, span, frac, k, where):
-    """Windows of the 0.01 scan grid whose first or last interval holds
-    the hit, windows with the hit within 5e-10 of an inner grid point (the
-    scan flags that point, or a bracket that must be landed again on the
-    exact flow), and windows that end before the hit or begin after it
-    (NoCrossing)."""
+                                                    tol, span, frac, k, where, at):
+    """y is landed with flow_map at the anchor, the window's start or the
+    inner point a fraction ``at`` of the way along, and passed with that
+    time as t0. On the 0.01 scan grid built outward from the anchor:
+    windows whose first or last interval holds the hit, windows with the
+    hit within 5e-10 of an inner grid point (the scan flags that point, or
+    a bracket that must be landed again on the exact flow), and windows
+    that end before the hit or begin after it (NoCrossing). An anchor at
+    the start scans one leg, forward; an inner one scans the leg back to
+    the start, then the forward leg if the hit lies past the anchor."""
     t = -t if backward else t
     base, sec, u, y = _sheared_case(bx, r, th, a, b)
     target = make_section(SHEARED, flow_map(SHEARED, base, t), 0.1,
                           seed_axes=sec.axes)
     hit = sheared_hit_time(base.coords[1], y.coords[1], t)
-    rel = np.linspace(0.0, span, int(math.ceil(span / 0.01)) + 1)
+    wide = np.linalg.norm(u) - target.radius
+    assume(abs(wide) > 1e-9)
+    c = at * span       # the anchor's time from the window start
+    back, fwd = (np.linspace(0.0, d, int(math.ceil(abs(d) / 0.01)) + 1)
+                 for d in (-c, span - c))
+    rel = c + np.concatenate((back[::-1], fwd[1:]))     # the grid, from lo
     lo = {"first": hit - frac * rel[1],
           "last": hit - rel[-2] - frac * (span - rel[-2]),
           "grid": hit - rel[1 + k % (rel.size - 2)] - (frac - 0.5) * 1e-9,
           "before": hit - span - 1e-6 - 0.3 * frac,
           "after": hit + 1e-6 + 0.3 * frac}[where]
-    wide = np.linalg.norm(u) - target.radius
-    assume(abs(wide) > 1e-9)
+    t0 = lo + c
+    y0 = flow_map(SHEARED, y, t0, tol=tol)
     if where in ("before", "after") or wide > 0:
         with pytest.raises(NoCrossing if where in ("before", "after")
                            else LeftTube):
-            first_crossing(SHEARED, y, target, (lo, lo + span), tol=tol)
+            first_crossing(SHEARED, y0, target, (lo, lo + span), tol=tol, t0=t0)
         return
-    ev = first_crossing(SHEARED, y, target, (lo, lo + span), tol=tol)
+    ev = first_crossing(SHEARED, y0, target, (lo, lo + span), tol=tol, t0=t0)
     assert abs(ev.hit_time - hit) <= 10 * tol * (1.0 + abs(t))
     assert abs(ev.residual) <= EVENT_TOL
     assert np.allclose(ev.offset_coords, u, rtol=0.0, atol=10 * tol)
