@@ -39,7 +39,11 @@ from .rsets import (
     sphere_reach,
     uniform_expansiveness_scan,
 )
-from .sections import RADIUS_SLACK, holonomy, make_section, section_point
+from .sections import (RADIUS_SLACK, holonomy, make_section, section_point,
+                       tube_batch)
+
+# samples per holonomy tube batch; bounds its memory at any n_samples
+TUBE_CHUNK = 256
 
 COMMANDS = ("holonomy", "rset", "expansivity", "entropy", "uef", "demo")
 
@@ -258,10 +262,12 @@ def _run_holonomy(config, p, outdir):
                           disk_radius_max=p["disk_radius_max"])
     per_base = int(math.ceil(n_samples / n_bases))
 
-    def work(item):
-        b_idx, base = item
+    # every (t, u) is drawn first, in per-base RNG order, and the samples
+    # that share t are grouped across all bases
+    samples = []        # (base index, sample index, section, t, u, y)
+    groups = {}         # t -> indices into samples
+    for b_idx, base in enumerate(bases):
         rng = np.random.default_rng(config.seed + 1000 + b_idx)
-        rows = []
         sec = make_section(flow, base, beta)
         for s_idx in range(per_base):
             t = float(t_fixed) if t_fixed is not None else \
@@ -269,26 +275,53 @@ def _run_holonomy(config, p, outdir):
             dom = (beta / L ** abs(t)) * sec.base_field_norm
             u = rng.uniform(-1.0, 1.0, size=2)
             u *= rng.uniform(0.0, domain_frac) * dom / max(np.linalg.norm(u), 1e-12)
-            y = section_point(flow, sec, u)
+            groups.setdefault(t, []).append(len(samples))
+            samples.append((b_idx, s_idx, sec, t, u, section_point(flow, sec, u)))
+    # one tube batch per chunk of a group
+    chunks = [idx[k:k + TUBE_CHUNK] for idx in groups.values()
+              for k in range(0, len(idx), TUBE_CHUNK)]
+
+    def work(chunk):
+        """Rows of a chunk's samples, in order, up to and including the
+        first that failed, whose error is kept as a value. A tube batch
+        error is every sample's; the chunk's first is the earliest."""
+        t = samples[chunk[0]][3]
+        try:
+            tubes = tube_batch(flow, [samples[i][2] for i in chunk], t,
+                               [samples[i][5] for i in chunk], tol)
+        except RFlowError as exc:
+            return [exc]
+        out = []
+        for i, tube in zip(chunk, tubes):
+            b_idx, s_idx, sec, _, u, y = samples[i]
             try:
-                res = holonomy(flow, sec, t, y, tol=tol, radius_slack=RADIUS_SLACK)
-            except RFlowError as exc:   # same type and attributes, named sample
-                exc.args = (f"base {b_idx} sample {s_idx} (t={t:.6g}): {exc}",)
-                raise
+                res = holonomy(flow, sec, t, y, tol=tol,
+                               radius_slack=RADIUS_SLACK, tube=tube)
+            except RFlowError as exc:
+                return out + [exc]
             if flow.analytic_holonomy is not None:
-                ana = flow.analytic_holonomy(base, t, u)
+                ana = flow.analytic_holonomy(sec.base, t, u)
                 err = float(np.linalg.norm(res.image_coords - ana))
             else:
                 ana = (math.nan, math.nan)
                 err = math.nan
-            rows.append([b_idx, s_idx, _fmt(u[0]), _fmt(u[1]), _fmt(t),
-                         _fmt(res.hit_time), _fmt(res.image_coords[0]),
-                         _fmt(res.image_coords[1]), _fmt(ana[0]), _fmt(ana[1]),
-                         _fmt(err), int(res.tube_ok)])
-        return rows
+            out.append([b_idx, s_idx, _fmt(u[0]), _fmt(u[1]), _fmt(t),
+                        _fmt(res.hit_time), _fmt(res.image_coords[0]),
+                        _fmt(res.image_coords[1]), _fmt(ana[0]), _fmt(ana[1]),
+                        _fmt(err), int(res.tube_ok)])
+        return out
 
-    all_rows = _parallel_map(config.workers, work, list(enumerate(bases)))
-    rows = [r for chunk in all_rows for r in chunk]
+    done = [None] * len(samples)
+    for chunk, out in zip(chunks, _parallel_map(config.workers, work, chunks)):
+        for i, row in zip(chunk, out):
+            done[i] = row
+    # a sample without a row follows a failed one of its own chunk
+    rows = []
+    for (b_idx, s_idx, _, t, _, _), row in zip(samples, done):
+        if isinstance(row, RFlowError):   # same type and attributes, named sample
+            row.args = (f"base {b_idx} sample {s_idx} (t={t:.6g}): {row}",)
+            raise row
+        rows.append(row)
     _write_csv(outdir / "holonomy_samples.csv",
                ["base", "sample", "u1", "u2", "t", "hit_time", "img_u1",
                 "img_u2", "ana_u1", "ana_u2", "err", "tube_ok"], rows)

@@ -12,6 +12,12 @@ rescaled tube d(phi_s(x), phi_s(y)) <= beta * ||X(phi_s(x))|| at sampled
 times. The image's distance to the target base is not stored:
 ``f.manifold.distance(result.target.base, result.image)`` gives it.
 
+The tube check is ``tube_batch``: one integration of many (base, y) pairs
+that share t, from any bases, with one vectorized tube test. Its rows are
+bit-identical to one-pair batches, so ``holonomy`` given a pair's row
+returns what it returns running that pair alone; each crossing search is
+still one ``first_crossing`` per pair.
+
 Frames along an orbit are kept continuous by seeding each Gram-Schmidt run
 with the previous frame's axes carried over in the chart. The seed is not
 pushed through the gluing's linear identification; for the built-in flows
@@ -124,41 +130,59 @@ def _tube_samples(t: float) -> np.ndarray:
 
 
 def holonomy(f: FlowSpec, source: CrossSection, t: float, y: Point,
-             tol: float = DEFAULT_TOL, radius_slack: float = 1.0) -> HolonomyResult:
+             tol: float = DEFAULT_TOL, radius_slack: float = 1.0,
+             tube=None) -> HolonomyResult:
     """Holonomy P over time t from the source section to the one at phi_t(base).
 
-    One ``orbit_batch`` of ``[base, y]`` checks the tube, and its rows'
-    last samples are the target base phi_t(base) and y(t). The crossing of
-    the target plane is searched from y(t), with y's next step size, inside
-    one window of half-width beta * ||X(phi_t(base))|| around t: an image
-    on the target plane at t hits at exactly t. ``radius_slack`` relaxes
-    the target-radius containment check (slack > 1 lets callers measure how
-    far outside the tube an image lands instead of erroring).
+    ``tube`` is this pair's row of a ``tube_batch`` over time t; without
+    it, a one-pair batch is run here. The row's target base phi_t(base)
+    sets the target section, and the crossing of its plane is searched
+    from y(t), with y's next step size, inside one window of half-width
+    beta * ||X(phi_t(base))|| around t: an image on the target plane at t
+    hits at exactly t. ``radius_slack`` relaxes the target-radius
+    containment check (slack > 1 lets callers measure how far outside the
+    tube an image lands instead of erroring).
     """
-    if abs(t) > T_MAX:
-        raise ValueError(f"|t|={abs(t)} exceeds T_MAX={T_MAX}")
-    steps = np.full(2, np.nan)
-    tube_ok, states = _tube_inequality_holds(f, source, y, t, tol, steps)
-    target_base = Point(_readonly(states[0, -1]))
-    target = make_section(f, target_base, source.beta, seed_axes=source.axes)
+    if tube is None:
+        (tube,) = tube_batch(f, [source], t, [y], tol)
+    tube_ok, base_t, y_t, step = tube
+    target = make_section(f, Point(_readonly(base_t)), source.beta,
+                          seed_axes=source.axes)
     w = max(target.radius, 1e-9)
-    event = first_crossing(f, Point(states[1, -1]), target, (t - w, t + w), tol,
-                           radius_slack, t0=t, steps=steps[1:])
+    event = first_crossing(f, Point(y_t), target, (t - w, t + w), tol,
+                           radius_slack, t0=t, steps=np.array([step]))
     return HolonomyResult(image=event.hit_point, hit_time=event.hit_time,
                           tube_ok=tube_ok, image_coords=event.offset_coords,
                           target=target, residual=event.residual)
 
 
-def _tube_inequality_holds(f, source, y, t, tol, steps=None):
-    """Whether y's orbit stays in the rescaled tube, and the (2, m, d)
-    states of ``[base, y]`` at the tube samples, which end at time t."""
+def tube_batch(f: FlowSpec, sources, t: float, ys,
+               tol: float = DEFAULT_TOL) -> list:
+    """Rescaled-tube checks of many pairs over one time t, in one batch.
+
+    Pair i is the base of ``sources[i]`` and the point ``ys[i]`` on its
+    section. One ``orbit_batch`` runs the interleaved rows ``[base_i,
+    y_i]`` to the tube sample times, and one field call and one
+    ``distance_array`` test d(phi_s(base), phi_s(y)) <= beta *
+    ||X(phi_s(base))|| at every sample. Rows are bit-identical to their
+    solo runs, so each pair's row equals its one-pair batch. Returns one
+    ``(tube_ok, phi_t(base), y(t), y's next step)`` per pair.
+    """
+    if abs(t) > T_MAX:
+        raise ValueError(f"|t|={abs(t)} exceeds T_MAX={T_MAX}")
     times = np.unique(_tube_samples(t))
     ordered = times if t >= 0 else times[::-1]
-    pair = np.vstack([source.base.coords, y.coords])
-    states = orbit_batch(f, pair, ordered, tol=tol, steps=steps)
-    bounds = source.beta * np.linalg.norm(f.field(states[0]), axis=-1)
-    dists = f.manifold.distance_array(states[0], states[1])
-    return bool(np.all(dists <= bounds * (1 + 1e-9) + 1e-12)), states
+    rows = np.array([c for s, y in zip(sources, ys)
+                     for c in (s.base.coords, y.coords)])
+    steps = np.full(len(rows), np.nan)
+    states = orbit_batch(f, rows, ordered, tol=tol, steps=steps)
+    base_s, y_s = states[0::2], states[1::2]
+    betas = np.array([s.beta for s in sources])[:, None]
+    bounds = betas * np.linalg.norm(f.field(base_s), axis=-1)
+    dists = f.manifold.distance_array(base_s, y_s)
+    ok = np.all(dists <= bounds * (1 + 1e-9) + 1e-12, axis=1)
+    return list(zip(ok.tolist(), base_s[:, -1].copy(), y_s[:, -1].copy(),
+                    steps[1::2].tolist()))
 
 
 def holonomy_orbit(f: FlowSpec, x: Point, beta: float, t: float, n: int,

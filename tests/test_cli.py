@@ -2,21 +2,25 @@
 determinism across worker counts (small scale)."""
 
 import ast
+import csv
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rflowlab import cli
+from rflowlab import cli, sections
 from rflowlab.cli import (CHECKS, COMMANDS, DEFAULTS, ExperimentConfig,
                           load_config, main, resolved_params, run, validate)
-from rflowlab.errors import LeftTube, NoCrossing
+from rflowlab.errors import LeftTube, NoCrossing, Timeout
 from rflowlab.flows import FLOW_NAMES
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -291,13 +295,23 @@ def test_exit_code_3_on_computation_error(tmp_path):
     assert manifest["status"] == "computation-error"
 
 
+def _holonomy_samples(outdir):
+    """(base, sample, t, u) of each row of a holonomy run's samples CSV."""
+    with open(outdir / "holonomy_samples.csv", newline="") as fh:
+        return [(int(r["base"]), int(r["sample"]), float(r["t"]),
+                 np.array([float(r["u1"]), float(r["u2"])]))
+                for r in csv.DictReader(fh)]
+
+
 @pytest.mark.parametrize("error", [
     lambda: NoCrossing("no section crossing in window [0.9, 1.1]"),
     lambda: LeftTube("crossing at t=1.05 lies off the section",
                      hit_time=1.05, offset=0.2)])
 def test_holonomy_error_names_the_failing_sample(tmp_path, monkeypatch, error):
     """A sample's computation error keeps its type and attributes, and the
-    manifest names its base, sample and t."""
+    manifest names its base, sample and t: the first failing sample in
+    (base, sample) order, at any worker count, also when its t group runs
+    after another failing sample's, or when a shared tube batch fails."""
     real, calls = cli.holonomy, []
 
     def fourth_fails(*args, **kwargs):     # base 1, sample 1 at one worker
@@ -321,6 +335,93 @@ def test_holonomy_error_names_the_failing_sample(tmp_path, monkeypatch, error):
     with pytest.raises(type(want)) as exc:
         cli._run_holonomy(cfg, resolved_params(cfg), tmp_path / "hol")
     assert vars(exc.value) == vars(want)
+
+    # The first t group runs first. Its last sample fails, and so does the
+    # first sample of another t group, which comes earlier in (base,
+    # sample) order but runs later.
+    params = {"beta": 0.1, "t_choices": [0.5, 1.0, 1.5], "n_samples": 12,
+              "n_bases": 4}
+    monkeypatch.setattr(cli, "holonomy", real)
+    assert run(ExperimentConfig(flow="cat_suspension", command="holonomy",
+                                params=params, output_dir=str(tmp_path / "ok"),
+                                seed=5)) == 0
+    samples = _holonomy_samples(tmp_path / "ok")
+    first_t = samples[0][2]
+    late = max(i for i, smp in enumerate(samples) if smp[2] == first_t)
+    early = min(i for i, smp in enumerate(samples) if smp[2] != first_t)
+    assert early < late
+    failed = []
+
+    def fails_at(*failing):
+        def spy(flow, sec, t, y, *args, **kwargs):
+            for i in failing:
+                _, _, t_i, u = samples[i]
+                if t == t_i and np.array_equal(
+                        cli.section_point(flow, sec, u).coords, y.coords):
+                    failed.append(i)
+                    raise error()
+            return real(flow, sec, t, y, *args, **kwargs)
+        return spy
+
+    def named(i, exc):
+        b, s, t, _ = samples[i]
+        return f"{type(exc).__name__}: base {b} sample {s} (t={t:.6g}): {exc}"
+
+    real_batch = sections.orbit_batch
+
+    def timeout_at_early_t(f, coords, times, *args, **kwargs):
+        if times[-1] == samples[early][2]:
+            raise Timeout("step budget exhausted")
+        return real_batch(f, coords, times, *args, **kwargs)
+
+    for workers in (1, 2):
+        cfg = ExperimentConfig(flow="cat_suspension", command="holonomy",
+                               params=params, seed=5, workers=workers,
+                               output_dir=str(tmp_path / f"w{workers}"))
+        failed.clear()
+        monkeypatch.setattr(cli, "holonomy", fails_at(early, late))
+        assert run(cfg) == 3
+        if workers == 1:
+            assert failed == [late, early]
+        manifest = json.loads((Path(cfg.output_dir) / "manifest.json").read_text())
+        assert manifest["error"] == named(early, error())
+        # a tube batch's error is each of its samples': early names it
+        monkeypatch.setattr(cli, "holonomy", fails_at(late))
+        monkeypatch.setattr(sections, "orbit_batch", timeout_at_early_t)
+        assert run(cfg) == 3
+        monkeypatch.setattr(sections, "orbit_batch", real_batch)
+        manifest = json.loads((Path(cfg.output_dir) / "manifest.json").read_text())
+        assert manifest["error"] == named(early, Timeout("step budget exhausted"))
+
+
+@pytest.mark.parametrize("flow, params, n_calls", [
+    ("cat_suspension", {"t_choices": [0.5, 1.0, 1.5], "n_samples": 12,
+                        "n_bases": 4}, 3),
+    ("rigid_rotation", {"t": 0.5, "n_samples": 300, "n_bases": 3}, 2)],
+    ids=["t_choices", "over_one_chunk"])
+def test_holonomy_runs_one_tube_batch_per_t_chunk(tmp_path, monkeypatch,
+                                                  flow, params, n_calls):
+    """The holonomy command's tube checks run as one ``orbit_batch`` per
+    chunk of at most ``TUBE_CHUNK`` samples that share t, across bases:
+    two rows (base and point) per sample, and no more calls than chunks.
+    The fixed-t run's 300 samples fill more than one chunk."""
+    real, rows = sections.orbit_batch, []
+
+    def spy(f, coords, *args, **kwargs):
+        rows.append(len(coords))
+        return real(f, coords, *args, **kwargs)
+
+    monkeypatch.setattr(sections, "orbit_batch", spy)
+    cfg = ExperimentConfig(flow=flow, command="holonomy",
+                           params={"beta": 0.1, **params},
+                           output_dir=str(tmp_path / "hol"), seed=5)
+    assert run(cfg) == 0
+    samples = _holonomy_samples(tmp_path / "hol")
+    groups = Counter(t for _, _, t, _ in samples).values()
+    assert len(rows) == sum(math.ceil(n / cli.TUBE_CHUNK) for n in groups)
+    assert len(rows) == n_calls
+    assert sum(rows) == 2 * len(samples)
+    assert max(rows) <= 2 * cli.TUBE_CHUNK
 
 
 def test_holonomy_run_outputs(tmp_path):

@@ -40,9 +40,9 @@ from rflowlab.rsets import (
 )
 from rflowlab.sections import (
     SINGULAR_NORM,
-    _tube_inequality_holds,
     make_section,
     section_point,
+    tube_batch,
 )
 from torus_orbit import x_after
 
@@ -167,25 +167,30 @@ def test_carried_grid_rows_land_on_the_target_plane(flow, reverse):
 @pytest.mark.parametrize("flow", [TORUS, CAT, RIGID], ids=lambda f: f.name)
 def test_holonomy_tube_batch_ends_at_the_target_base_on_its_plane(flow, reverse):
     """``holonomy`` takes phi_t(base) from its tube batch and scans one
-    window around t. Both rest on this: the batch's base row at t has the
+    window around t. Both rest on this: each pair's base row at t has the
     bits of ``flow_map``, and phi_t(y) lies exactly on the target plane,
-    for both signs of t and, on the solid torus, across its kink |x| = 1."""
+    for both signs of t and, on the solid torus, across its kink |x| = 1.
+    The draws of each t run as one batch of pairs from every base."""
     f = reversed_flow(flow) if reverse else flow
     rng = np.random.default_rng(19)
     kw = {"x_range": (0.1, 1.9)} if flow.manifold.disk_axes else {}
     kinks_crossed = {1.0: 0, -1.0: 0}
+    pairs = {t: [] for t in (1.0, -1.0, 2.5, -2.5)}
     for x in sample_points(flow, 6, seed=20, **kw):
         section = make_section(f, x, 0.1)
-        for t in (1.0, -1.0, 2.5, -2.5):
+        for t, batch in pairs.items():
             for _ in range(3):
                 u = rng.uniform(-0.7, 0.7, size=2) * section.radius
-                y = section_point(f, section, u)
-                _, states = _tube_inequality_holds(f, section, y, t,
-                                                   DEFAULT_TOL)
-                base_t, y_t = states[0, -1], states[1, -1]
-                assert np.array_equal(base_t, flow_map(f, x, t).coords)
-                nhat = f.field(base_t) / np.linalg.norm(f.field(base_t))
-                assert f.manifold.displacement(base_t, y_t) @ nhat == 0.0
+                batch.append((section, section_point(f, section, u)))
+    for t, batch in pairs.items():
+        secs, ys = zip(*batch)
+        rows = tube_batch(f, secs, t, ys, DEFAULT_TOL)
+        assert len(rows) == len(batch)
+        for section, (_, base_t, y_t, _) in zip(secs, rows):
+            x = section.base
+            assert np.array_equal(base_t, flow_map(f, x, t).coords)
+            nhat = f.field(base_t) / np.linalg.norm(f.field(base_t))
+            assert f.manifold.displacement(base_t, y_t) @ nhat == 0.0
             if f.switch is not None and \
                     f.switch(x.coords) * f.switch(base_t) < 0:
                 kinks_crossed[np.sign(t)] += 1

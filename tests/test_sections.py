@@ -315,6 +315,47 @@ def test_holonomy_matches_sheared_closed_form(bx, r, th, a, b, t, backward, tol)
     assert np.allclose(res.image_coords, u, rtol=0.0, atol=10 * tol)
 
 
+def _outcome(call):
+    """``call()``'s result as bits, or its error's type, message and hit time."""
+    try:
+        res = call()
+    except (LeftTube, NoCrossing) as exc:
+        return type(exc), str(exc), getattr(exc, "hit_time", None)
+    tgt = res.target
+    return tuple(np.asarray(v).tobytes() for v in (
+        res.image.coords, res.hit_time, res.tube_ok, res.image_coords,
+        res.residual, tgt.base.coords, tgt.axes, tgt.normal, tgt.beta,
+        tgt.base_field_norm))
+
+
+@settings(max_examples=60, deadline=None)
+@given(flow=st.sampled_from([CAT, RIGID, TORUS, SHEARED]),
+       t=st.floats(0.05, 3.0), backward=st.booleans(),
+       pairs=st.lists(st.tuples(unit, unit, unit, st.floats(-1.4, 1.4),
+                                st.floats(-1.4, 1.4)), min_size=1, max_size=6))
+def test_tube_batch_rows_match_their_one_pair_batches(flow, t, backward, pairs):
+    """A tube batch of pairs from different bases (on the solid torus,
+    bases on both sides of the kink |x| = 1): each row's tube flag, target
+    base, y(t) and next step have the bits of that pair's one-pair batch,
+    and ``holonomy`` given the row returns what it returns without it,
+    field by field, or raises the same error with the same hit time."""
+    t = -t if backward else t
+    secs, ys = [], []
+    for a, b, c, ua, ub in pairs:
+        sec = make_section(flow, _base(flow, a, b, c), 0.1)
+        secs.append(sec)
+        ys.append(section_point(flow, sec, sec.radius * np.array([ua, ub])))
+    rows = sections.tube_batch(flow, secs, t, ys)
+    assert len(rows) == len(pairs)
+    for sec, y, row in zip(secs, ys, rows):
+        (solo,) = sections.tube_batch(flow, [sec], t, [y])
+        assert type(row[0]) is bool
+        assert [np.asarray(v).tobytes() for v in row] == \
+            [np.asarray(v).tobytes() for v in solo]
+        assert _outcome(lambda: holonomy(flow, sec, t, y, tube=row)) == \
+            _outcome(lambda: holonomy(flow, sec, t, y))
+
+
 @settings(max_examples=120, deadline=None)
 @given(**SHEARED_DRAWS, span=st.floats(0.05, 0.5), frac=st.floats(0.001, 0.999),
        k=st.integers(0, 1000),
