@@ -22,7 +22,12 @@ same host speed, and the per-round ratio B/A cancels most of it. After
 the rounds, the script prints a block of results: each side's median
 round time, the median B/A ratio with its quartiles, the rounds B won,
 and whether the two sides wrote byte-identical files in every round
-(``manifest.json``, which records wall time, left out).
+(``manifest.json``, which records wall time, left out). Then each side
+runs ``MEM_ROUNDS`` more rounds, untimed and in the same alternating
+order, under ``tracemalloc``, and the block ends with each side's median
+peak of traced memory: a change that holds more state at once shows
+there before it shows in a benchmark's peak resident memory. The timed
+rounds are never traced.
 
 The exit status is 1 when a run does not exit 0 or when the two sides'
 outputs differ in any round, so one command is both the timing check and
@@ -39,9 +44,11 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+MEM_ROUNDS = 3      # untimed rounds per side under tracemalloc
 
 
 def _load(name, repo):
@@ -62,14 +69,31 @@ def _files(outdir):
             if p.is_file() and p.name != "manifest.json"}
 
 
-def _timed_run(cli, workload, seed, outdir):
+def _config(cli, workload, seed, outdir):
+    """The workload's config, at one worker, into a cleared ``outdir``."""
     shutil.rmtree(outdir, ignore_errors=True)
-    config = cli.ExperimentConfig(flow=workload.flow, command=workload.command,
-                                  params=dict(workload.params),
-                                  output_dir=str(outdir), seed=seed, workers=1)
+    return cli.ExperimentConfig(flow=workload.flow, command=workload.command,
+                                params=dict(workload.params),
+                                output_dir=str(outdir), seed=seed, workers=1)
+
+
+def _timed_run(cli, workload, seed, outdir):
+    config = _config(cli, workload, seed, outdir)
     start = time.perf_counter()
     code = cli.run(config)
     return time.perf_counter() - start, code
+
+
+def _traced_peak(cli, workload, seed, outdir):
+    """Peak traced memory of one untimed run, in MiB, and its exit code."""
+    config = _config(cli, workload, seed, outdir)
+    tracemalloc.start()
+    try:
+        code = cli.run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20, code
 
 
 def _quartiles(values):
@@ -103,6 +127,17 @@ def _compare(sides, name, workload, rounds, seed, out, repos):
     print(f"B won {sum(b < a for a, b in zip(times['a'], times['b']))} "
           f"of {rounds} rounds")
     print(f"outputs byte-identical: {'yes' if identical else 'no'}", flush=True)
+    peaks = {"a": [], "b": []}
+    for r in range(MEM_ROUNDS):
+        for side in ("ab" if r % 2 == 0 else "ba"):
+            peak, code = _traced_peak(sides[side], workload, seed, out / side)
+            if code != 0:
+                failed.append(f"{name} traced round {r}: {side.upper()} "
+                              f"exited {code}")
+            peaks[side].append(peak)
+    print(f"tracemalloc peak median over {MEM_ROUNDS} untimed rounds: "
+          + ", ".join(f"{side.upper()} {statistics.median(peaks[side]):.3f} MiB"
+                      for side in "ab"), flush=True)
     if not identical:
         failed.append(f"{name}: outputs differ between A and B")
     return failed

@@ -8,8 +8,8 @@ exits 0 on success, 2 on validation error, 3 on computation error with
 partial outputs preserved.
 
 All randomness flows from the single config seed. Worker parallelism fans
-out over independent per-point tasks and merges results by index, so
-outputs are byte-identical for any worker count.
+out over independent tasks (holonomy chunks, rset directions) and merges
+results by index, so outputs are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from .errors import RFlowError
 from .flows import FLOW_NAMES, get_flow, sample_points
 from .integrate import T_MAX
 from .rsets import (
-    ExpansivityVerdict,
     check_expansivity,
-    compute_rset,
+    compute_rset,  # noqa: F401 (unused: perfbench/bench_trace.py patches it)
+    raise_first_error,
+    rset_grids,
     sphere_reach,
     uniform_expansiveness_scan,
 )
@@ -350,16 +351,14 @@ def _run_rset(config, p, outdir):
     pts = sample_points(flow, n_points, seed=config.seed,
                         x_range=p["x_range"],
                         disk_radius_max=p["disk_radius_max"])
-    tasks = [(i, x, d) for i, x in enumerate(pts) for d in directions]
 
-    def work(task):
-        i, x, d = task
-        g = compute_rset(flow, x, beta, t, n_max, resolution, d, tol=tol)
+    def entry(i, d, g):
+        """Point i's entry for its grid g in direction d; writes its CSV."""
         path = outdir / f"rset_point{i:02d}_{d}.csv"
         g.to_csv(path)
         counts = g.counts()
-        entry = {
-            "point": [float(v) for v in x.coords], "direction": d,
+        e = {
+            "point": [float(v) for v in pts[i].coords], "direction": d,
             "members": counts["members"],
             "center_only": counts["members"] == 1,
             "horizon_certified": g.horizon_certified,
@@ -368,10 +367,20 @@ def _run_rset(config, p, outdir):
             "grid_csv": path.name,
         }
         if gamma is not None:
-            entry["sphere_reach"] = bool(sphere_reach(g, float(gamma)))
-        return entry
+            e["sphere_reach"] = bool(sphere_reach(g, float(gamma)))
+        return e
 
-    entries = _parallel_map(config.workers, work, tasks)
+    def work(d):
+        """((point, d), entry) for direction d's grids, marched together,
+        each entry made as its grid finishes; an error is its entry."""
+        return [((i, d), g if isinstance(g, RFlowError) else entry(i, d, g))
+                for i, g in rset_grids(flow, pts, beta, t, n_max, resolution,
+                                       d, tol=tol)]
+
+    found = dict(pair for part in _parallel_map(config.workers, work,
+                                                directions) for pair in part)
+    raise_first_error(found)
+    entries = [found[i, d] for i in range(len(pts)) for d in directions]
     summary = {
         "flow": config.flow,
         "params": {"beta": beta, "t": t, "n_max": n_max,
@@ -394,12 +403,7 @@ def _run_expansivity(config, p, outdir):
     pts = sample_points(flow, n_points, seed=config.seed,
                         x_range=p["x_range"],
                         disk_radius_max=p["disk_radius_max"])
-
-    def work(x):
-        return check_expansivity(flow, [x], beta, t, n_max, resolution,
-                                 tol=tol).per_point[0]
-
-    verdict = ExpansivityVerdict(_parallel_map(config.workers, work, pts))
+    verdict = check_expansivity(flow, pts, beta, t, n_max, resolution, tol=tol)
     per_point = verdict.per_point
     rows = [[i, _fmt(e["point"][0]), _fmt(e["point"][1]), _fmt(e["point"][2]),
              int(e["trivial_intersection"]), e["intersection_cells"],

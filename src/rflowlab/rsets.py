@@ -6,10 +6,10 @@ Membership grids discretize the rescaled cross-section at a base point:
 a cell belongs to the local stable set when, at every holonomy step
 1 <= k <= n_max, its image exists and stays within the rescaled tolerance
 ``tolerance_factor * ||X(P_k(x))||`` of the base orbit (unstable sets use
-the backward maps). Cell membership is decided at cell centers only, the
-whole grid marches in one shared batch per step with early exit on first
-violation, and the base point itself travels as the batch's center cell, so
-its distance to the reference orbit is exactly zero at every step.
+the backward maps). Cell membership is decided at cell centers only, with
+early exit on first violation; the grids of one direction march together,
+their tails sharing batches, and each base point travels as its grid's
+center cell, so its distance to the reference orbit is exactly zero.
 
 "For all n" is truncated at n_max. When the base orbit leaves the regular
 region before n_max (the field norm underflows or the step budget runs
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -37,6 +38,7 @@ from .errors import (
     BetaTooLarge,
     BudgetExhausted,
     GammaTooLarge,
+    RFlowError,
     SingularBase,
     Timeout,
 )
@@ -143,167 +145,233 @@ class ExpansivityVerdict:
         return "consistent-with-R-expansive"
 
 
-@dataclass
 class _Propagation:
-    fail_step: np.ndarray
-    error_state: np.ndarray
-    horizon: int
-    truncation_reason: Optional[str]
-    tracks: Optional[list]  # per step: (alive flat indices, positions)
+    """One grid's holonomy chain: its live rows while it marches, then its
+    result; ``tracks`` holds per step (alive row indices, positions)."""
 
+    def __init__(self, f, section, coords_u, tol_factor, beta, n_max,
+                 record_tracks):
+        # the base travels with the batch; distances are relative to it exactly
+        if np.linalg.norm(coords_u[0]) > 1e-15:
+            raise ValueError("row 0 of coords_u must be the base point")
+        raw = section.base.coords + coords_u @ section.axes
+        off = f.manifold.off_disk(raw)
+        self.fail_step = np.where(off, 0, n_max + 1)
+        self.error_state = (off * CELL_OUT_OF_MANIFOLD).astype(np.int8)
+        self.alive_idx = np.flatnonzero(~off)
+        self.Y = f.manifold.wrap_array(raw[self.alive_idx])
+        self.steps = np.full(self.alive_idx.size, np.nan)  # next trial steps
+        self.tol_factor, self.beta, self.horizon = tol_factor, beta, n_max
+        self.k, self.truncation_reason, self.error = 0, None, None
+        self.tracks = [] if record_tracks else None
 
-def _propagate_points(f: FlowSpec, section: CrossSection, t: float,
-                      coords_u, sign: int, n_max: int, tol_factor: float,
-                      beta: float, tol: float = DEFAULT_TOL,
-                      record_tracks: bool = False):
-    """Holonomy steps of section points, row 0 the base, until each fails.
-
-    Each row carries its step size from one horizon to the next, so a
-    row's step continues where its last horizon left it.
-    """
-    m = f.manifold
-    coords_u = np.asarray(coords_u, dtype=float)
-    n_pts = coords_u.shape[0]
-    fail_step = np.full(n_pts, n_max + 1, dtype=int)
-    error_state = np.zeros(n_pts, dtype=np.int8)
-
-    raw = section.base.coords + coords_u @ section.axes
-    off = m.off_disk(raw)
-    error_state[off] = CELL_OUT_OF_MANIFOLD
-    fail_step[off] = 0
-
-    # the base travels with the batch; distances are relative to it exactly
-    if np.linalg.norm(coords_u[0]) > 1e-15:
-        raise ValueError("row 0 of coords_u must be the base point")
-
-    alive_idx = np.flatnonzero(~off)
-    Y = m.wrap_array(raw[alive_idx])
-    horizon = n_max
-    trunc = None
-    step_t = sign * t
-    tracks = [] if record_tracks else None
-    steps = np.full(alive_idx.size, np.nan)   # each row's next trial step
-
-    for k in range(1, n_max + 1):
-        try:
-            Y_new = orbit_batch(f, Y, np.array([step_t]), tol=tol,
-                                steps=steps)[:, 0, :]
-        except Timeout:
-            horizon = k - 1
-            trunc = "timeout"
-            break
+    def advance(self, f, Y_new, t, tol):
+        """Step k + 1, given each live row's image under it."""
+        k = self.k + 1
         bx = Y_new[0]
         fvec = f.field(bx)
         n_x = float(np.linalg.norm(fvec))
         if n_x <= SINGULAR_NORM:
-            horizon = k - 1
-            trunc = "singular_base"
-            break
-        nhat = fvec / n_x
-        disp = m.displacement(bx, Y_new)
-        resid = disp @ nhat
+            self.horizon, self.truncation_reason = self.k, "singular_base"
+            return
+        disp = f.manifold.displacement(bx, Y_new)
         d = np.linalg.norm(disp, axis=-1)
 
         # every catalog flow carries each row exactly onto the plane through
         # the carried base (row 0, residual zero); a row off it has no
         # crossing at this step
-        off_plane = np.abs(resid) > max(1e-7 * (1.0 + abs(t)), 100.0 * tol)
-        tol_k = tol_factor * n_x
-        guard_k = RADIUS_SLACK * beta * n_x
-        fail_tube = d > guard_k
-        fail_tol = d > tol_k * (1.0 + 1e-9) + 1e-15
-        fails = off_plane | fail_tube | fail_tol
+        off_plane = np.abs(disp @ (fvec / n_x)) > max(1e-7 * (1.0 + abs(t)),
+                                                      100.0 * tol)
+        fail_tube = d > RADIUS_SLACK * self.beta * n_x
+        fails = off_plane | fail_tube \
+            | (d > self.tol_factor * n_x * (1.0 + 1e-9) + 1e-15)
         fails[0] = False
         if np.any(fails):
             rows = np.flatnonzero(fails)
-            cells = alive_idx[rows]
-            fail_step[cells] = k
-            error_state[cells[fail_tube[rows]]] = CELL_LEFT_TUBE
-            error_state[cells[off_plane[rows]]] = CELL_NO_CROSSING
+            cells = self.alive_idx[rows]
+            self.fail_step[cells] = k
+            self.error_state[cells[fail_tube[rows]]] = CELL_LEFT_TUBE
+            self.error_state[cells[off_plane[rows]]] = CELL_NO_CROSSING
         keep = ~fails
-        alive_idx = alive_idx[keep]
-        Y = Y_new[keep]
-        steps = steps[keep]
-        if record_tracks:
-            tracks.append((alive_idx.copy(), Y.copy()))
-
-    return _Propagation(fail_step=fail_step, error_state=error_state,
-                        horizon=horizon, truncation_reason=trunc,
-                        tracks=tracks)
+        self.alive_idx = self.alive_idx[keep]
+        self.Y = Y_new[keep]
+        self.steps = self.steps[keep]
+        self.k = k
+        if self.tracks is not None:
+            self.tracks.append((self.alive_idx.copy(), self.Y.copy()))
 
 
-def _march_grid(f, section, resolution, t, sign, n_max, tolerance_factor,
-                beta, tol) -> RSetGrid:
-    """The membership grid over ``section``, components not yet labelled.
+def _step(f, call, t, sign, tol):
+    """One holonomy step of each grid of ``call``, in one orbit_batch call;
+    a call of several grids that raises is taken again grid by grid."""
+    if len(call) > 1:
+        Y = np.concatenate([g.Y for g in call])
+        steps = np.concatenate([g.steps for g in call])
+    else:   # its own arrays: a copy of a full grid would raise peak memory
+        Y, steps = call[0].Y, call[0].steps
+    try:
+        Y_new = orbit_batch(f, Y, np.array([sign * t]), tol=tol,
+                            steps=steps)[:, 0]
+    except RFlowError as exc:
+        if len(call) > 1:
+            for g in call:
+                _step(f, [g], t, sign, tol)
+        elif isinstance(exc, Timeout):
+            call[0].horizon, call[0].truncation_reason = call[0].k, "timeout"
+        else:
+            call[0].horizon, call[0].error = call[0].k, exc
+        return
+    start = 0
+    for g, end in zip(call, np.cumsum([g.alive_idx.size for g in call])):
+        g.steps = steps[start:end]
+        g.advance(f, Y_new[start:end], t, tol)
+        start = end
 
-    In-disk cells are propagated as one batch with the center cell as row
-    0; cells outside the disk are outside the section domain.
+
+def _propagate_points(f: FlowSpec, t: float, sign: int, n_max: int, grids,
+                      tol: float = DEFAULT_TOL, record_tracks: bool = False,
+                      cap: Optional[int] = None):
+    """Holonomy steps of many grids' section points, row 0 of each grid
+    its base, until each row fails or its grid truncates; yields (i,
+    propagation) for grid i as it finishes, or (i, error) for an
+    RFlowError other than Timeout in a call of grid i alone.
+
+    ``grids`` holds (section, coords_u, tol_factor, beta) per grid, or,
+    given ``cap`` (the most rows any grid is given), yields them as each
+    starts. A grid steps alone while it holds more than cap / 2 rows, then
+    waits in a pool, stepped whenever its rows reach cap and, once every
+    grid has started, until empty: its grids packed in start order into
+    calls of at most cap rows. Each row keeps the bits of its grid alone.
     """
-    res = resolution
+    if cap is None:
+        grids = list(grids)
+        cap = max((len(spec[1]) for spec in grids), default=0)
+    pool = []
+    for i, spec in enumerate(chain(grids, [None])):   # None: all started
+        if spec is not None:
+            g = _Propagation(f, *spec, n_max, record_tracks)
+            while g.k < g.horizon and g.alive_idx.size > cap / 2:
+                _step(f, [g], t, sign, tol)
+            pool.append((i, g))
+        while True:
+            yield from ((j, g if g.error is None else g.error)
+                        for j, g in pool if g.k == g.horizon)
+            pool = [(j, g) for j, g in pool if g.k < g.horizon]
+            if not pool or spec is not None and sum(
+                    g.alive_idx.size for _, g in pool) < cap:
+                break
+            calls, rows = [], cap    # start order, greedily, <= cap rows
+            for _, g in pool:
+                if rows + g.alive_idx.size > cap:
+                    calls.append([])
+                    rows = 0
+                calls[-1].append(g)
+                rows += g.alive_idx.size
+            for call in calls:
+                _step(f, call, t, sign, tol)
+
+
+def _march_grids(f, points, res, t, sign, n_max, factor, beta, tol,
+                 with_components):
+    """Membership grids over the sections of factor ``factor`` at
+    ``points``, marched and yielded as by ``_propagate_points``; cells
+    outside the disk are outside the section domain.
+    """
     if res % 2 == 0 or res < 3:
         raise ValueError("resolution must be odd and >= 3")
-    w = 2.0 * section.radius / res
-    offs = _cell_offsets(res, w)
-    U = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1)
-    flat_u = U.reshape(-1, 2)
-    inside = np.linalg.norm(flat_u, axis=-1) <= section.radius + 1e-12
     center = (res // 2) * res + res // 2
-    inside[center] = False
-    cells = np.concatenate(([center], np.flatnonzero(inside)))
-    run = _propagate_points(f, section, t, flat_u[cells], sign, n_max,
-                            tolerance_factor, beta, tol=tol)
-    fail_step = np.zeros(res * res, dtype=int)
-    error_state = np.full(res * res, CELL_OUTSIDE_SECTION, dtype=np.int8)
-    fail_step[cells] = run.fail_step
-    error_state[cells] = run.error_state
-    fail_step = fail_step.reshape(res, res)
-    error_state = error_state.reshape(res, res)
-    membership = (fail_step > run.horizon) \
-        & (error_state != CELL_OUTSIDE_SECTION) \
-        & (error_state != CELL_OUT_OF_MANIFOLD)
-    return RSetGrid(
-        section=section, resolution=res, membership=membership,
-        component_labels=np.full((res, res), -1, dtype=int),
-        fail_step=fail_step, error_state=error_state,
-        horizon_certified=run.horizon, truncation_reason=run.truncation_reason,
-        cellwidth=w,
-    )
+    sections, cells = [make_section(f, x, factor) for x in points], []
+    for section in sections:
+        offs = _cell_offsets(res, 2.0 * section.radius / res)
+        u = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1)
+        inside = (np.linalg.norm(u, axis=-1) <= section.radius + 1e-12).ravel()
+        inside[center] = False
+        idx = np.concatenate(([center], np.flatnonzero(inside)))
+        # grids of one resolution nearly always share a layout: one copy
+        cells.append(cells[-1] if cells and np.array_equal(cells[-1], idx)
+                     else idx)
+
+    def specs():
+        for section, idx in zip(sections, cells):
+            offs = _cell_offsets(res, 2.0 * section.radius / res)
+            yield (section, np.stack((offs[idx // res], offs[idx % res]), -1),
+                   factor, beta)
+
+    cap = max((c.size for c in cells), default=0)
+    for i, run in _propagate_points(f, t, sign, n_max, specs(), tol, cap=cap):
+        if isinstance(run, RFlowError):
+            yield i, run
+            continue
+        # cells outside the section or the manifold failed at step 0
+        fail_step = np.zeros((res, res), dtype=int)
+        fail_step.flat[cells[i]] = run.fail_step
+        error_state = np.full((res, res), CELL_OUTSIDE_SECTION, dtype=np.int8)
+        error_state.flat[cells[i]] = run.error_state
+        grid = RSetGrid(
+            section=sections[i], resolution=res,
+            membership=fail_step > run.horizon,
+            component_labels=np.full((res, res), -1, dtype=int),
+            fail_step=fail_step, error_state=error_state,
+            horizon_certified=run.horizon,
+            truncation_reason=run.truncation_reason,
+            cellwidth=2.0 * sections[i].radius / res,
+        )
+        yield i, connected_component(grid) if with_components else grid
 
 
-def _shrunken_section(f: FlowSpec, x: Point, beta: float, t: float,
-                      direction: str):
-    """The section at x shrunk by L^-t, its factor beta / L^t and the step
-    sign of ``direction``, once direction, t and beta are checked."""
+def _alone(marched):
+    """The one result of a one-grid march; an error is raised."""
+    [(_, run)] = marched
+    if isinstance(run, RFlowError):
+        raise run
+    return run
+
+
+def raise_first_error(results):
+    """Raise the first RFlowError of ``results``, (point index, direction)
+    -> result, in that order, its message prefixed ``point I DIRECTION: ``."""
+    for (i, direction), res in sorted(results.items()):
+        if isinstance(res, RFlowError):
+            res.args = (f"point {i} {direction}: {res}",)
+            raise res
+
+
+def _shrink(f: FlowSpec, beta: float, t: float, direction: str):
+    """The section factor beta / L^t and step sign of a checked direction."""
     if direction not in ("stable", "unstable"):
         raise ValueError("direction must be 'stable' or 'unstable'")
     if t <= 0:
         raise ValueError("t must be positive (direction picks the sign)")
     if beta > f.rescale.beta0 + 1e-12:
         raise BetaTooLarge(f"beta={beta} exceeds beta0={f.rescale.beta0}")
-    factor = beta / f.rescale.L ** t
-    return (make_section(f, x, factor), factor,
-            1 if direction == "stable" else -1)
+    return beta / f.rescale.L ** t, 1 if direction == "stable" else -1
+
+
+def rset_grids(f: FlowSpec, points, beta: float, t: float, n_max: int,
+               resolution: int, direction: str = "stable",
+               tol: float = DEFAULT_TOL, with_components: bool = True):
+    """Membership grids of the local R-stable or R-unstable sets at
+    ``points``, marched together: yields (i, grid) for ``points[i]`` as it
+    finishes, or (i, error) for an RFlowError of its march. A grid covers
+    the shrunken section of radius (beta / L^t)||X(x)||; a cell is a
+    member when every holonomy image through the certified horizon exists
+    and satisfies d <= (beta / L^t) * ||X||, the shrunken factor again.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    factor, sign = _shrink(f, beta, t, direction)
+    return _march_grids(f, points, resolution, t, sign, n_max, factor, beta,
+                        tol, with_components)
 
 
 def compute_rset(f: FlowSpec, x: Point, beta: float, t: float, n_max: int,
                  resolution: int, direction: str = "stable",
                  tol: float = DEFAULT_TOL,
                  with_components: bool = True) -> RSetGrid:
-    """Membership grid of the local R-stable or R-unstable set at x.
-
-    The grid covers the shrunken section of radius (beta / L^t)||X(x)||.
-    A cell is a member when every holonomy image through the certified
-    horizon exists and satisfies d <= (beta / L^t) * ||X||, the shrunken
-    factor again.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    section, factor, sign = _shrunken_section(f, x, beta, t, direction)
-    grid = _march_grid(f, section, resolution, t, sign, n_max, factor, beta,
-                       tol)
-    if with_components:
-        connected_component(grid)
-    return grid
+    """Membership grid of the local R-stable or R-unstable set at x, as
+    ``rset_grids`` marches it."""
+    return _alone(rset_grids(f, [x], beta, t, n_max, resolution, direction,
+                             tol, with_components))
 
 
 def connected_component(g: RSetGrid) -> RSetGrid:
@@ -366,9 +434,8 @@ def dynamical_ball(f: FlowSpec, x: Point, n: int, epsilon: float, t: float,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    section = make_section(f, x, epsilon)
-    return connected_component(
-        _march_grid(f, section, resolution, t, 1, n, epsilon, epsilon, tol))
+    return _alone(_march_grids(f, [x], resolution, t, 1, n, epsilon, epsilon,
+                               tol, True))
 
 
 def membership_predicate(f: FlowSpec, x: Point, beta: float, t: float,
@@ -377,10 +444,11 @@ def membership_predicate(f: FlowSpec, x: Point, beta: float, t: float,
     """Fail steps for explicit section points (no grid): the same test
     compute_rset applies per cell with its default tolerance. Returns
     (fail_step, propagation)."""
-    section, factor, sign = _shrunken_section(f, x, beta, t, direction)
+    factor, sign = _shrink(f, beta, t, direction)
     rows = np.vstack([np.zeros(2), np.asarray(coords_u, dtype=float)])
-    run = _propagate_points(f, section, t, rows, sign, n_max, factor, beta,
-                            tol=tol, record_tracks=record_tracks)
+    run = _alone(_propagate_points(
+        f, t, sign, n_max, [(make_section(f, x, factor), rows, factor, beta)],
+        tol, record_tracks))
     return run.fail_step[1:], run
 
 
@@ -432,12 +500,14 @@ def check_expansivity(f: FlowSpec, points, beta: float, t: float, n_max: int,
     its two-sided holonomy orbit survived both certified horizons inside
     the rescaled tolerance.
     """
+    pts = list(points)
+    grids = {(i, d): g for d in ("stable", "unstable")
+             for i, g in rset_grids(f, pts, beta, t, n_max, resolution, d,
+                                    tol=tol, with_components=False)}
+    raise_first_error(grids)
     per_point = []
-    for x in points:
-        gs = compute_rset(f, x, beta, t, n_max, resolution, "stable", tol=tol,
-                          with_components=False)
-        gu = compute_rset(f, x, beta, t, n_max, resolution, "unstable", tol=tol,
-                          with_components=False)
+    for p_idx, x in enumerate(pts):
+        gs, gu = grids[p_idx, "stable"], grids[p_idx, "unstable"]
         inter = gs.membership & gu.membership
         c = gs.center
         non_center = inter.copy()
@@ -472,13 +542,14 @@ def uniform_expansiveness_scan(f: FlowSpec, sample_points, eta: float,
     """Smallest two-sided horizon separating eta-distant section points.
 
     For each sampled x, points y at distance just above eta on the section
-    are carried through the holonomy maps: x's directions ride one batch per
-    sign, under the grid's membership test at tolerance beta, and a pair
-    separates at the first step where d(P_i(x), P_i(y)) > beta * ||X(P_i(x))||
-    in either direction. N_eta is the largest first separation index over
-    all pairs. A pair that never separates within horizon_budget raises
-    BudgetExhausted (or is recorded as the failure witness with
-    on_budget="report"), the first such pair in direction order.
+    are carried through the holonomy maps: every x's directions ride one
+    march per sign, under the grid's membership test at tolerance beta, and
+    a pair separates at the first step where d(P_i(x), P_i(y)) >
+    beta * ||X(P_i(x))|| in either direction. N_eta is the largest first
+    separation index over all pairs. A pair that never separates within
+    horizon_budget raises BudgetExhausted (or is recorded as the failure
+    witness with on_budget="report"), the first such pair in direction
+    order; a march error first is raised as ``raise_first_error`` names it.
     """
     pts = list(sample_points)
     norms = np.array([field_norm(f, p) for p in pts])
@@ -501,15 +572,19 @@ def uniform_expansiveness_scan(f: FlowSpec, sample_points, eta: float,
     # row 0 is the base, row 1 + d the point in direction d
     rows = np.array([(0.0, 0.0)] + [(r_y * math.cos(a), r_y * math.sin(a))
                                     for a in angles])
-    for p_idx, x in enumerate(pts):
-        sec = make_section(f, x, beta)
+    secs = [make_section(f, x, beta) for x in pts]
+    live = [p_idx for p_idx, sec in enumerate(secs) if r_y < sec.radius]
+    runs = {(live[j], d): run for sign, d in ((1, "stable"), (-1, "unstable"))
+            for j, run in _propagate_points(f, t, sign, horizon_budget, [
+                (secs[p_idx], rows, beta, beta) for p_idx in live], tol)}
+    for p_idx, (x, sec) in enumerate(zip(pts, secs)):
         if r_y >= sec.radius:
             skipped += n_directions
             continue
+        pair = {(p_idx, d): runs[p_idx, d] for d in ("stable", "unstable")}
+        raise_first_error(pair)
         # a pair separates at its first failed step in either direction
-        first = np.minimum(*(
-            _propagate_points(f, sec, t, rows, sign, horizon_budget, beta,
-                              beta, tol=tol).fail_step[1:] for sign in (1, -1)))
+        first = np.minimum(*(run.fail_step[1:] for run in pair.values()))
         for d_idx, n_sep in enumerate(first.tolist()):
             if n_sep > horizon_budget:
                 y = section_point(f, sec, rows[1 + d_idx])

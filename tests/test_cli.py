@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rflowlab import cli, sections
+from rflowlab import cli, rsets, sections
 from rflowlab.cli import (CHECKS, COMMANDS, DEFAULTS, ExperimentConfig,
                           load_config, main, resolved_params, run, validate)
 from rflowlab.errors import LeftTube, NoCrossing, Timeout
-from rflowlab.flows import FLOW_NAMES
+from rflowlab.flows import FLOW_NAMES, get_flow, sample_points
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -422,6 +422,104 @@ def test_holonomy_runs_one_tube_batch_per_t_chunk(tmp_path, monkeypatch,
     assert len(rows) == n_calls
     assert sum(rows) == 2 * len(samples)
     assert max(rows) <= 2 * cli.TUBE_CHUNK
+
+
+# command -> (flow, params) of a small run whose grids fail by injection
+_GRID_RUNS = {
+    "rset": ("solid_torus", {"beta": 0.1, "t": 1.0, "n_max": 40,
+                             "resolution": 5, "n_points": 4,
+                             "x_range": [0.1, 1.0]}),
+    "expansivity": ("solid_torus", {"beta": 0.1, "t": 1.0, "n_max": 40,
+                                    "resolution": 5, "n_points": 4,
+                                    "x_range": [0.1, 1.0]}),
+    "uef": ("cat_suspension", {"eta": 0.01, "beta": 0.1, "t": 1.0,
+                               "horizon_budget": 10, "n_points": 4,
+                               "n_directions": 8}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GRID_RUNS))
+@pytest.mark.parametrize("error", [
+    lambda: NoCrossing("no section crossing in window [0.9, 1.1]"),
+    lambda: LeftTube("crossing at t=1.05 lies off the section",
+                     hit_time=1.05, offset=0.2)])
+def test_grid_error_names_the_first_failing_grid(tmp_path, monkeypatch,
+                                                 command, error):
+    """A grid's computation error keeps its type and attributes, and the
+    manifest names its point and direction: the first failing grid in
+    (point, direction) order, at any worker count. Point 3's grids fail at
+    their first step in both directions; point 1's unstable grid fails at
+    its fourth, after point 3's has failed in the same march."""
+    flow_name, params = _GRID_RUNS[command]
+    flow = get_flow(flow_name)
+    pts = sample_points(flow, 4, seed=5, x_range=params.get("x_range"))
+    _, chain = rsets.membership_predicate(
+        flow, pts[1], 0.1, 1.0, 10, "unstable", np.zeros((0, 2)),
+        record_tracks=True)
+    assert chain.horizon >= 4
+    # (base of the failing grid as the failing step starts, step sign)
+    failing = [(pts[3].coords, 1.0), (pts[3].coords, -1.0),
+               (chain.tracks[2][1][0], -1.0)]
+    real = rsets.orbit_batch
+
+    def spy(f, coords, times, *args, **kwargs):
+        for base, sign in failing:
+            if np.sign(times[-1]) == sign and np.any(np.all(
+                    np.abs(coords - base) <= 1e-12, axis=1)):
+                raise error()
+        return real(f, coords, times, *args, **kwargs)
+
+    monkeypatch.setattr(rsets, "orbit_batch", spy)
+    want = error()
+    for workers in (1, 2):
+        cfg = ExperimentConfig(flow=flow_name, command=command, params=params,
+                               seed=5, workers=workers,
+                               output_dir=str(tmp_path / f"w{workers}"))
+        assert run(cfg) == 3
+        manifest = json.loads((Path(cfg.output_dir) / "manifest.json")
+                              .read_text())
+        assert manifest["error"] == (f"{type(want).__name__}: point 1 "
+                                     f"unstable: {want}")
+    with pytest.raises(type(want)) as exc:
+        cli._EXPERIMENTS[command](cfg, resolved_params(cfg), tmp_path / "w2")
+    assert vars(exc.value) == vars(want)
+
+
+@pytest.mark.parametrize("flow_name, params", [
+    ("solid_torus", {"n_max": 40, "resolution": 11, "x_range": [0.1, 1.0]}),
+    ("cat_suspension", {"n_max": 4, "resolution": 21})],
+    ids=["tails", "pool_at_cap"])
+def test_rset_grids_share_tail_calls(tmp_path, monkeypatch, flow_name,
+                                     params):
+    """The rset command marches the grids of a direction together, so the
+    tails of its grids share ``orbit_batch`` calls: fewer calls than the
+    grids marched one by one, exactly their rows, and no call above cap,
+    the most cells any grid is given. On the solid torus every grid's
+    cells but a few fail within its first steps; on the suspension they
+    fail over several, and the pool's rows reach cap."""
+    params = {"beta": 0.1, "t": 1.0, "n_points": 4, **params}
+    real, rows = rsets.orbit_batch, []
+
+    def spy(f, coords, *args, **kwargs):
+        rows.append(len(coords))
+        return real(f, coords, *args, **kwargs)
+
+    monkeypatch.setattr(rsets, "orbit_batch", spy)
+    cfg = ExperimentConfig(flow=flow_name, command="rset", params=params,
+                           output_dir=str(tmp_path / "rset"), seed=5)
+    assert run(cfg) == 0
+    shared = list(rows)
+    rows.clear()
+    flow, cap = get_flow(flow_name), 0
+    for x in sample_points(flow, 4, seed=5, x_range=params.get("x_range")):
+        for direction in ("stable", "unstable"):
+            g = rsets.compute_rset(flow, x, 0.1, 1.0, params["n_max"],
+                                   params["resolution"], direction)
+            cap = max(cap, np.count_nonzero(
+                g.error_state != rsets.CELL_OUTSIDE_SECTION))
+    assert len(shared) < len(rows)
+    assert sum(shared) == sum(rows)
+    assert max(shared) <= cap
 
 
 def test_holonomy_run_outputs(tmp_path):

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from oracles import reversed_flow, sheared_rotation
 from rflowlab import integrate, rsets
-from rflowlab.errors import BetaTooLarge, BudgetExhausted, GammaTooLarge, SingularBase
+from rflowlab.errors import (BetaTooLarge, BudgetExhausted, GammaTooLarge,
+                             NoCrossing, SingularBase, Timeout)
 from rflowlab.flows import CAT_MATRIX, LAMBDA_PLUS, get_flow, sample_points
 from rflowlab.integrate import DEFAULT_TOL, flow_map
 from rflowlab.rsets import (
@@ -34,6 +35,7 @@ from rflowlab.rsets import (
     detect_rstable_point,
     dynamical_ball,
     membership_predicate,
+    rset_grids,
     sphere_reach,
     _propagate_points,
     uniform_expansiveness_scan,
@@ -129,7 +131,7 @@ def test_vacuous_tolerance_membership_is_existence():
     cells = np.stack(np.meshgrid(offs, offs, indexing="ij"), axis=-1).reshape(-1, 2)
     cells = cells[np.linalg.norm(cells, axis=-1) <= section.radius]
     cells = cells[np.argsort(np.linalg.norm(cells, axis=-1), kind="stable")]
-    run = _propagate_points(CAT, section, t, cells, 1, 3, np.inf, beta)
+    [(_, run)] = _propagate_points(CAT, t, 1, 3, [(section, cells, np.inf, beta)])
     assert run.horizon == 3 and run.truncation_reason is None
     assert np.all(run.fail_step == 4) and np.all(run.error_state == 0)
 
@@ -152,8 +154,9 @@ def test_carried_grid_rows_land_on_the_target_plane(flow, reverse):
                                                   r * np.sin(th)], axis=1)])
         for sign in (1, -1):
             # infinite tolerances keep every row alive through all four steps
-            run = _propagate_points(f, section, 1.0, cells, sign, 4,
-                                    np.inf, np.inf, record_tracks=True)
+            [(_, run)] = _propagate_points(
+                f, 1.0, sign, 4, [(section, cells, np.inf, np.inf)],
+                record_tracks=True)
             assert not np.any(run.error_state == CELL_NO_CROSSING)
             assert len(run.tracks) == run.horizon >= 1
             for alive, Y in run.tracks:
@@ -208,7 +211,7 @@ def test_rows_carried_off_the_target_plane_fail_as_no_crossing():
     cells = 0.5 * section.radius * np.stack([np.cos(th), np.sin(th)], axis=1)
     dy = (cells @ section.axes)[:, 1]
     cells = np.vstack([np.zeros(2), cells[np.abs(dy) > 1e-3]])
-    run = _propagate_points(f, section, 1.0, cells, 1, 2, np.inf, np.inf)
+    [(_, run)] = _propagate_points(f, 1.0, 1, 2, [(section, cells, np.inf, np.inf)])
     assert run.horizon == 2
     assert run.fail_step[0] == 3 and run.error_state[0] == 0
     assert np.all(run.fail_step[1:] == 1)
@@ -701,3 +704,118 @@ def test_propagation_carries_step_sizes_across_horizons():
         fail, run = membership_predicate(CAT, x, 0.1, 1.0, 6, "stable", coords)
     assert len(steps_per_call) == 6
     assert steps_per_call[0] > 1 and steps_per_call[1:] == [1] * 5
+
+
+# ------------------------------------------------- many grids in one march
+
+def _torus_points(xs, seed):
+    """Solid-torus points at the given x, within 0.6 of the core circle."""
+    rng = np.random.default_rng(seed)
+    r = 0.6 * np.sqrt(rng.uniform(size=len(xs)))
+    th = rng.uniform(0.0, 2.0 * np.pi, size=len(xs))
+    return [_pt(TORUS, (x, a * math.cos(b), a * math.sin(b)))
+            for x, a, b in zip(xs, r, th)]
+
+
+def _assert_same_grid(g, alone):
+    for name in ("membership", "fail_step", "error_state"):
+        assert np.array_equal(getattr(g, name), getattr(alone, name)), name
+    assert (g.horizon_certified, g.truncation_reason) == \
+        (alone.horizon_certified, alone.truncation_reason)
+
+
+@st.composite
+def _march_draw(draw):
+    """A flow, 1 to 5 of its points, a direction and a small grid. On the
+    solid torus |x| runs from 0.05 to 1.9, so orbits cross the kink at
+    |x| = 1 and come near the singular disk x = 0."""
+    flow = draw(st.sampled_from([CAT, RIGID, TORUS]))
+    n = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if flow is TORUS:
+        xs = draw(st.lists(st.floats(0.05, 1.9), min_size=n, max_size=n))
+        signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n,
+                              max_size=n))
+        pts = _torus_points([s * x for s, x in zip(signs, xs)], seed)
+    else:
+        pts = sample_points(flow, n, seed=seed)
+    return (flow, pts, draw(st.sampled_from(("stable", "unstable"))),
+            draw(st.sampled_from((3, 5, 7, 9))), draw(st.integers(1, 40)),
+            seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_march_draw())
+@example(case=(TORUS, _torus_points([0.56, -0.3, 1.2, -1.7, 0.9], 0), "stable",
+               5, 40, 0))
+def test_grids_marched_together_equal_each_grid_marched_alone(case):
+    """Each grid of a march of many equals its one-grid ``compute_rset``
+    in every cell, horizon and truncation, and, with tracks recorded, each
+    row's positions at every step equal those of its grid marched alone:
+    grids that share an ``orbit_batch`` call keep each row's bits."""
+    flow, pts, direction, res, n_max, seed = case
+    marched = dict(rset_grids(flow, pts, 0.1, 1.0, n_max, res, direction,
+                              with_components=False))
+    assert sorted(marched) == list(range(len(pts)))
+    for i, x in enumerate(pts):
+        _assert_same_grid(marched[i], compute_rset(
+            flow, x, 0.1, 1.0, n_max, res, direction, with_components=False))
+
+    rng = np.random.default_rng(seed)
+    sign = 1 if direction == "stable" else -1
+    specs = []
+    for x in pts:
+        sec = make_section(flow, x, 0.1)
+        r = sec.radius * np.sqrt(rng.uniform(size=6))
+        th = rng.uniform(0.0, 2.0 * np.pi, size=6)
+        rows = np.vstack([np.zeros(2), np.stack([r * np.cos(th),
+                                                 r * np.sin(th)], axis=1)])
+        specs.append((sec, rows, 0.1 / 3.0, 0.1))
+    together = dict(_propagate_points(flow, 1.0, sign, n_max, specs,
+                                      record_tracks=True))
+    for i, spec in enumerate(specs):
+        [(_, alone)] = _propagate_points(flow, 1.0, sign, n_max, [spec],
+                                         record_tracks=True)
+        run = together[i]
+        assert run.horizon == alone.horizon
+        assert np.array_equal(run.fail_step, alone.fail_step)
+        assert len(run.tracks) == len(alone.tracks)
+        for (idx, pos), (idx_a, pos_a) in zip(run.tracks, alone.tracks):
+            assert np.array_equal(idx, idx_a) and np.array_equal(pos, pos_a)
+
+
+@pytest.mark.parametrize("error", [Timeout, NoCrossing])
+def test_a_failing_grid_of_a_shared_call_fails_as_alone(monkeypatch, error):
+    """One grid of a shared ``orbit_batch`` call raises at its step 6: the
+    call is taken again grid by grid. A Timeout truncates that grid at
+    horizon 5, as when it marches alone; any other error is that grid's
+    result, and is what ``compute_rset`` raises for it. Every other grid
+    is unchanged."""
+    pts = _torus_points([0.56, -0.3, 1.2, -1.7, 0.9], 1)
+    args = (0.1, 1.0, 40, 5, "stable")
+    clean = dict(rset_grids(TORUS, pts, *args, with_components=False))
+    _, run = membership_predicate(TORUS, pts[2], 0.1, 1.0, 40, "stable",
+                                  np.zeros((0, 2)), record_tracks=True)
+    before_6 = run.tracks[4][1][0]      # the base of grid 2 after step 5
+    real, raised = rsets.orbit_batch, []
+
+    def spy(f, coords, *a, **k):
+        if np.any(np.all(coords == before_6, axis=1)):
+            raised.append(len(coords))
+            raise error("injected")
+        return real(f, coords, *a, **k)
+
+    monkeypatch.setattr(rsets, "orbit_batch", spy)
+    marched = dict(rset_grids(TORUS, pts, *args, with_components=False))
+    assert raised[0] > 1 and raised[1:] == [1]    # shared, then alone
+    for i in (0, 1, 3, 4):
+        _assert_same_grid(marched[i], clean[i])
+    if error is Timeout:
+        alone = compute_rset(TORUS, pts[2], *args, with_components=False)
+        _assert_same_grid(marched[2], alone)
+        assert (alone.horizon_certified, alone.truncation_reason) == \
+            (5, "timeout")
+    else:
+        assert type(marched[2]) is NoCrossing
+        with pytest.raises(NoCrossing):
+            compute_rset(TORUS, pts[2], *args, with_components=False)
