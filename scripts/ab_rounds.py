@@ -26,8 +26,12 @@ and whether the two sides wrote byte-identical files in every round
 runs ``MEM_ROUNDS`` more rounds, untimed and in the same alternating
 order, under ``tracemalloc``, and the block ends with each side's median
 peak of traced memory: a change that holds more state at once shows
-there before it shows in a benchmark's peak resident memory. The timed
-rounds are never traced.
+there before it shows in a benchmark's peak resident memory. Last, each
+side runs one more untimed round with a counter on its
+``integrate._rk_step``, and the block ends with each side's DP5
+row-steps per round: the rows passed to ``_rk_step``, summed over its
+calls, a count that no host load moves. The timed rounds are never
+traced or counted.
 
 The exit status is 1 when a run does not exit 0 or when the two sides'
 outputs differ in any round, so one command is both the timing check and
@@ -96,6 +100,26 @@ def _traced_peak(cli, workload, seed, outdir):
     return peak / 2**20, code
 
 
+def _row_steps(cli, workload, seed, outdir):
+    """DP5 row-steps of one untimed run: the rows passed to the side's
+    ``integrate._rk_step``, summed over its calls; and the run's exit
+    code."""
+    integrate = importlib.import_module(f"{cli.__package__}.integrate")
+    real, rows = integrate._rk_step, [0]
+
+    def counted(field, y, f0, h):
+        rows[0] += y.shape[1]
+        return real(field, y, f0, h)
+
+    config = _config(cli, workload, seed, outdir)
+    integrate._rk_step = counted
+    try:
+        code = cli.run(config)
+    finally:
+        integrate._rk_step = real
+    return rows[0], code
+
+
 def _quartiles(values):
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
@@ -138,6 +162,14 @@ def _compare(sides, name, workload, rounds, seed, out, repos):
     print(f"tracemalloc peak median over {MEM_ROUNDS} untimed rounds: "
           + ", ".join(f"{side.upper()} {statistics.median(peaks[side]):.3f} MiB"
                       for side in "ab"), flush=True)
+    counts = {}
+    for side in "ab":
+        counts[side], code = _row_steps(sides[side], workload, seed, out / side)
+        if code != 0:
+            failed.append(f"{name} counted round: {side.upper()} exited {code}")
+    print("DP5 row-steps per round: "
+          + ", ".join(f"{side.upper()} {counts[side]}" for side in "ab"),
+          flush=True)
     if not identical:
         failed.append(f"{name}: outputs differ between A and B")
     return failed

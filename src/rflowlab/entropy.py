@@ -241,8 +241,10 @@ def _grid_samples(f: FlowSpec, shape, seed: int = 0, jitter: bool = True):
 
 
 def _max_field_norm(cache: _OrbitCache, f: FlowSpec) -> float:
-    return float(np.max(np.linalg.norm(
-        f.field(cache.orbits.reshape(-1, cache.orbits.shape[-1])), axis=-1)))
+    # one sample time at a time: the field at every cached sample at once
+    # would hold a second array the size of the cache
+    return max(float(np.max(np.linalg.norm(f.field(cache.orbits[:, k]), axis=-1)))
+               for k in range(cache.orbits.shape[1]))
 
 
 def _validate_step(max_norm: float, eps: float, step: float) -> int:

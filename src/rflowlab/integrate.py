@@ -10,9 +10,11 @@ bits in any batch as alone. Every catalog field is invariant under the
 deck maps of its manifold, so states are carried in the universal cover of
 the chart and wrapped into the fundamental domain only on output; crossing
 the glued fiber of a mapping torus needs no special handling during a step.
-A field may return a view with row stride 0 when every point of a batch
-gets the same value; each stage sum of a step is then formed once, on one
-column, for every row alike: the same numbers, so the same bits.
+A flow's field and switch may declare the coordinates they read, as a tuple
+``axes`` on the callable; points that agree in those bits and in their
+carried step get the same field values at every stage, so one of them is
+integrated and the others add its increments to their own states: the
+operations each would do alone, so the same bits.
 
 Steps are chosen toward the last requested time only, which is landed on
 exactly; earlier sample times are filled from the pair's dense-output
@@ -97,49 +99,46 @@ def _rk_step(field, y, f0, h):
 
     States are held transposed, (d, n): each coordinate is a contiguous
     row, so per-row step sizes broadcast along it; ``field`` sees (n, d)
-    views. A stage the field gives every row alike, as a view with row
-    stride 0, is carried as one (d, 1) column through the stage sums and
-    the error estimate: each row's operands are the same numbers, so each
-    row's bits are too. Whether to share is the field's choice. Returns
-    (y_new, f_new, err, stages, k2): f_new is FSAL, as the field gave it;
-    err is each row's largest error component (one entry for all rows
-    when they share it); stages are (k1, k3, k4, k5, k6, k7) for dense
-    output and k2 is the field at the first inner stage, each (d, n) or a
-    shared (d, 1) column.
+    views. Returns (y_new, f_new, err, stages, k2, dy): y_new is y + dy,
+    dy the step's increment h * (sum of b_i k_i); f_new is FSAL, as the
+    field gave it; err is each row's largest error component; stages are
+    (k1, k3, k4, k5, k6, k7) for dense output and k2 is the field at the
+    first inner stage, each (d, n).
     """
-    k1 = f0[:, :1] if not f0.strides[1] else f0
+    k1 = f0
     k2 = field((y + h * (_A21 * k1)).T).T
-    k2 = k2[:, :1] if not k2.strides[1] else k2
     k3 = field((y + h * (_A3[0] * k1 + _A3[1] * k2)).T).T
-    k3 = k3[:, :1] if not k3.strides[1] else k3
     k4 = field((y + h * (_A4[0] * k1 + _A4[1] * k2 + _A4[2] * k3)).T).T
-    k4 = k4[:, :1] if not k4.strides[1] else k4
     k5 = field((y + h * (_A5[0] * k1 + _A5[1] * k2 + _A5[2] * k3
                          + _A5[3] * k4)).T).T
-    k5 = k5[:, :1] if not k5.strides[1] else k5
     k6 = field((y + h * (_A6[0] * k1 + _A6[1] * k2 + _A6[2] * k3 + _A6[3] * k4
                          + _A6[4] * k5)).T).T
-    k6 = k6[:, :1] if not k6.strides[1] else k6
-    y5 = y + h * (_B5[0] * k1 + _B5[2] * k3 + _B5[3] * k4 + _B5[4] * k5
-                  + _B5[5] * k6)
-    f_new = field(y5.T).T
-    k7 = f_new[:, :1] if not f_new.strides[1] else f_new
+    dy = h * (_B5[0] * k1 + _B5[2] * k3 + _B5[3] * k4 + _B5[4] * k5
+              + _B5[5] * k6)
+    y5 = y + dy
+    k7 = f_new = field(y5.T).T
     err = h * (_ERR[0] * k1 + _ERR[2] * k3 + _ERR[3] * k4 + _ERR[4] * k5
                + _ERR[5] * k6 + _ERR[6] * k7)
     err = np.maximum.reduce(np.abs(err))
-    return y5, f_new, err, (k1, k3, k4, k5, k6, k7), k2
+    return y5, f_new, err, (k1, k3, k4, k5, k6, k7), k2, dy
 
 
-def _dense_coeffs(y, y_new, h, stages):
-    """Coefficients of the fourth-order Dormand-Prince interpolant of
-    steps of signed sizes h from y to y_new, transposed as in _rk_step."""
+def _dense_parts(h, stages):
+    """The parts of the dense-output coefficients of steps of signed sizes
+    h that read only the stages, (h k1, h k7, r5), transposed as in
+    _rk_step: formed once for all rows of a group."""
     k1, k3, k4, k5, k6, k7 = stages
+    return h * k1, h * k7, h * (_D[0] * k1 + _D[2] * k3 + _D[3] * k4
+                                + _D[4] * k5 + _D[5] * k6 + _D[6] * k7)
+
+
+def _dense_coeffs(y, y_new, parts):
+    """Coefficients of the fourth-order Dormand-Prince interpolant of
+    steps from y to y_new with ``_dense_parts`` parts."""
+    hk1, hk7, r5 = parts
     r2 = y_new - y
-    r3 = h * k1 - r2
-    r4 = r2 - h * k7 - r3
-    r5 = h * (_D[0] * k1 + _D[2] * k3 + _D[3] * k4 + _D[4] * k5 + _D[5] * k6
-              + _D[6] * k7)
-    return y, r2, r3, r4, r5
+    r3 = hk1 - r2
+    return y, r2, r3, r2 - hk7 - r3, r5
 
 
 def _dense(coeffs, th):
@@ -213,9 +212,18 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
     that contains them, so they never shorten a step and the last sample
     equals that of a call with the last time alone. No row's arithmetic
     depends on another row, so each row is bit-identical to the same point
-    run alone. A stage the field gives every row alike (a view with row
-    stride 0, as on a section grid of a catalog flow) is summed once, as
-    one column shared by all rows.
+    run alone.
+
+    Rows the flow cannot tell apart are integrated once. When ``f.field``
+    declares the coordinates it reads as ``axes`` (and ``f.switch`` too,
+    if the flow has one), rows that agree bit for bit in those coordinates
+    and in their ``steps`` entry form a group: its first row, the
+    representative, runs the steps above, and every other row adds each
+    accepted step's increment h * (sum of b_i k_i) to its own state and
+    fills its samples from its own states and the step's stages, as it
+    would alone. A callable without ``axes`` may read any coordinate, so
+    its rows are each their own group. On a section grid of a catalog flow
+    every row shares the one group of its grid.
 
     When the flow has a ``switch`` and a row's trial step changes its
     sign, the row locates the zero on that step's dense interpolant and
@@ -254,14 +262,17 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
 
     field, switch = f.field, f.switch
     done = target - 1e-14
-    y = coords.T.copy()             # transposed, as _rk_step holds states
+    first, grp = _groups(f, coords, steps)
+    y = coords[first].T.copy()      # transposed, as _rk_step holds states
     f0 = field(y.T).T
     h = _initial_step(f0, target)
     if steps is not None:
-        h = np.where(steps > 0, steps, h)
+        h = np.where(steps[first] > 0, steps[first], h)
     n = y.shape[1]
-    rows = np.arange(n)             # each live row's index in the batch
     s = np.zeros(n)                 # time cursor
+    # the rows written out (crows, states cy), each carried by its group's
+    # increments (at: the live position of its group)
+    at, crows, cy = grp, np.arange(grp.size), coords.T.copy()
     if m > 1:
         inner = abst[:-1]               # sample times filled from dense output
         j = np.zeros(n, dtype=np.intp)  # first sample time not yet filled
@@ -269,7 +280,6 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
         reach = _LAND_REACH * tol
         up = switch(y.T) > 0        # the side of the switch each row is on
         land = np.full(n, np.inf)   # a step that ends just past a located zero
-        diff = np.empty_like(y)     # k2 - k1 of each live row's step
     for attempt in range(MAX_STEPS + 1):
         if attempt == MAX_STEPS:
             raise Timeout(f"{f.name}: batch step budget exhausted at "
@@ -278,11 +288,7 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
         if switch is not None:
             hh = np.minimum(hh, land)
         hs = hh if sign > 0 else -hh
-        # a step that every row shares, as at a horizon all rows are capped
-        # at, is passed as a scalar: the same bits, and faster on a large grid
-        y_new, f_new, err, stages, k2 = _rk_step(
-            field, y, f0,
-            hs[0] if hs.size > 1 and not np.count_nonzero(hs != hs[0]) else hs)
+        y_new, f_new, err, stages, k2, dy = _rk_step(field, y, f0, hs)
         tol_h = tol * hh
         # err == 0 (or below 1e-300) grows the step fivefold
         h_next = hh * np.minimum(5.0, np.maximum(
@@ -308,36 +314,29 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
             # switch zero is taken again; a unit step at unit rate, as a
             # holonomy chain next to the singular disk takes per horizon,
             # stays one step.
-            # rows that share k1 and k2 share lam: one entry for them all
             k1 = stages[0]
-            buf = diff[:, :max(k1.shape[1], k2.shape[1])]
-            d21 = np.maximum.reduce(np.abs(np.subtract(k2, k1, out=buf),
-                                           out=buf))
-            n1 = np.maximum.reduce(np.abs(k1, out=buf))  # 5 |stage 2 - y| / h
+            d21 = np.maximum.reduce(np.abs(k2 - k1))
+            n1 = np.maximum.reduce(np.abs(k1))      # 5 |stage 2 - y| / h
             wide = d21 * np.maximum(h_next, hh) > (1.01 * _A21) * n1 * hh
             if np.count_nonzero(wide):      # over 1.01 / lam
                 w = np.flatnonzero(wide)
-                if d21.size > 1:
-                    d21, n1 = d21[w], n1[w]
+                d21, n1 = d21[w], n1[w]
                 s2 = _A21 * n1
                 h_next[w] = np.minimum(h_next[w], 1.01 * s2 * hh[w] / d21)
                 rejected[w] |= ((d21 > 1.02 * s2) & ~cross[w]
                                 & (hh[w] > 1e-13))
-            n_cross = np.count_nonzero(cross)
-            if n_cross:
+            if np.count_nonzero(cross):
                 # a step that ends more than reach past the zero is taken
-                # again, to just past it; rows that all cross together (a
-                # grid in a section across the kink) are read without a copy
-                c = np.flatnonzero(cross) if n_cross < cross.size else slice(None)
-                coeffs = _dense_coeffs(y[:, c], y_new[:, c], hs[c],
-                                       [k if k.shape[1] == 1 else k[:, c]
-                                        for k in stages])
+                # again, to just past it
+                c = np.flatnonzero(cross)
+                coeffs = _dense_coeffs(y[:, c], y_new[:, c], _dense_parts(
+                    hs[c], [k[:, c] for k in stages]))
                 g0 = switch(y[:, c].T)
                 th = _illinois(lambda x: switch(_dense(coeffs, x).T),
                                np.zeros_like(g0), np.ones_like(g0), g0,
                                g_new[c], 0.125 * reach / hh[c])[1]
                 again = (1.0 - th) * hh[c] > reach
-                redo = np.arange(cross.size)[c][again]
+                redo = c[again]
                 land[redo] = th[again] * hh[redo] + 0.25 * reach
                 rejected[redo] = True
                 h_next[redo] = h[redo]
@@ -348,10 +347,15 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
             continue
         every = n_ok == ok.size     # all rows move: no select, no new arrays
         s_new = s + hh if every else np.where(ok, s + hh, s)
+        # alone, each row would add its group's increment to its own state
+        dy = _spread(dy, at)
+        cy_new = cy + dy if every else np.where(ok[at], cy + dy, cy)
         if m > 1:
             # the last time is filled on arrival; a rejected step fills none
             k = np.where(ok, np.searchsorted(inner, s_new, side="right"), j)
-            _fill_samples(out, rows, abst, s, hh, hs, j, k, y, y_new, stages)
+            _fill_samples(out, crows, abst, s, hh, hs, j, k, cy, cy_new,
+                          stages, at)
+            j = k
         del stages    # kept through the next step, they would raise peak memory
         if every:
             y, f0 = y_new, f_new
@@ -362,23 +366,27 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
             f0 = np.where(ok, f_new, f0)
             if switch is not None:
                 up = np.where(ok, up_new, up)
+        cy = cy_new
         s = s_new
         fin = s >= done
         if np.count_nonzero(fin):
-            if m > 1:
-                for r in np.flatnonzero(fin & (j < m - 1)):
-                    out[rows[r], j[r]:] = y[:, r]
+            cfin = fin[at]
             if steps is not None:
                 # a step cut short to land on the last time keeps the
                 # proposal from before it
-                steps[rows[fin]] = np.maximum(h_next[fin], np.where(
-                    h_next[fin] < hh[fin], 0.0, h[fin]))
-            out[rows[fin], m - 1] = y[:, fin].T
+                steps[crows[cfin]] = np.maximum(h_next, np.where(
+                    h_next < hh, 0.0, h))[at][cfin]
+            if m > 1:
+                for r in np.flatnonzero(cfin & (j[at] < m - 1)):
+                    out[crows[r], j[at][r]:] = cy[:, r]
+            out[crows[cfin], m - 1] = cy[:, cfin].T
             keep = ~fin
             if not np.count_nonzero(keep):
                 break
-            rows, s, h_next = rows[keep], s[keep], h_next[keep]
+            s, h_next = s[keep], h_next[keep]
             y, f0 = y[:, keep], f0[:, keep]
+            crows, cy = crows[~cfin], cy[:, ~cfin]
+            at = (np.cumsum(keep) - 1)[at[~cfin]]
             if m > 1:
                 j = j[keep]
             if switch is not None:
@@ -387,27 +395,59 @@ def orbit_batch(f, coords, times, tol: float = DEFAULT_TOL, steps=None):
     return f.manifold.wrap_array(out)
 
 
-def _fill_samples(out, rows, abst, s, hh, hs, j, k, y, y_new, stages):
+def _groups(f, coords, steps):
+    """The first row of each group of rows that the flow cannot tell apart,
+    and each row's group. Rows are alike when they agree, bit for bit, in
+    their carried step and in every coordinate the field and the switch
+    read, as their ``axes`` declare; a field or switch that declares none
+    may read any, so then each row is its own group."""
+    n = coords.shape[0]
+    axes = getattr(f.field, "axes", None) if n > 1 else None
+    if f.switch is not None and axes is not None:
+        sw = getattr(f.switch, "axes", None)
+        axes = None if sw is None else sorted({*axes, *sw})
+    if axes is None:
+        return (np.arange(n),) * 2
+    bits = [coords[:, a].view(np.int64) for a in axes]
+    if steps is not None:
+        bits.append(steps.view(np.int64))
+    if not any(np.count_nonzero(b != b[0]) for b in bits):     # all alike
+        return np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    key = np.column_stack(bits)
+    key = key.view(np.dtype((np.void, key.itemsize * key.shape[1])))[:, 0]
+    return np.unique(key, return_index=True, return_inverse=True)[1:]
+
+
+def _spread(a, at):
+    """The columns of a at positions at, or a itself when it has one column,
+    for its rows to broadcast: the same numbers either way."""
+    return a if a.shape[-1] == 1 else a[..., at]
+
+
+def _fill_samples(out, rows, abst, s, hh, hs, j, k, y, y_new, stages, at):
     """Write each row's samples j..k-1 from the dense output of its step
-    and advance j."""
+    from y to y_new. Time cursors s, step sizes hh and hs, samples j and k
+    and stages are those of each row's group (``at``: its position among
+    them)."""
     cnt = k - j
     most = int(np.maximum.reduce(cnt))
     if not most:
         return
-    coeffs = _dense_coeffs(y, y_new, hs, stages)
+    coeffs = _dense_coeffs(y, y_new,
+                           [_spread(p, at) for p in _dense_parts(hs, stages)])
     if int(cnt.min()) == most and j.min() == j.max():
         # rows in step fill one block of columns. Every row of a constant
         # field is (cat_suspension's), where a gather of the coefficients
         # per sample would copy them once per sample time
         cols = slice(int(j[0]), int(j[0]) + most)
-        th = ((abst[cols] - s[:, None]) / hh[:, None])[:, :, None]
+        th = _spread((abst[cols, None] - s) / hh, at).T[:, :, None]
         out[rows, cols] = _dense([c.T[:, None] for c in coeffs], th)
     else:
+        cnt, j, s, hh = cnt[at], j[at], s[at], hh[at]
         pair = np.repeat(np.arange(rows.size), cnt)    # the row of each sample
         cols = np.arange(pair.size) + np.repeat(j - (np.cumsum(cnt) - cnt), cnt)
         out[rows[pair], cols] = _dense(np.stack(coeffs)[:, :, pair],
                                        (abst[cols] - s[pair]) / hh[pair]).T
-    j += cnt
 
 
 def first_crossing(f, y: Point, target, window, tol: float = DEFAULT_TOL,

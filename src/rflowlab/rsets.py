@@ -72,12 +72,21 @@ def _cell_offsets(res: int, w: float):
 
 
 @lru_cache(maxsize=1)
+def _rows_template(res: int):
+    """``_rows_format`` with ``%s`` for each row's u and v: the part that a
+    grid's cellwidth does not change."""
+    return "".join(f"{i},{j},%s,%s,%%s" for i in range(res) for j in range(res))
+
+
+@lru_cache(maxsize=1)
 def _rows_format(res: int, w: float):
     """The grid CSV body as a %-format: each row's ``i,j,u,v,``, then
     ``%s`` for its tail, in row-major order."""
     offs = [f"{v:.17g}" for v in _cell_offsets(res, w).tolist()]
-    return "".join(f"{i},{j},{u},{v},%s"
-                   for i, u in enumerate(offs) for j, v in enumerate(offs))
+    uv = [None] * (2 * res * res)       # each row's u, then its v
+    uv[::2] = [u for u in offs for _ in offs]
+    uv[1::2] = offs * res
+    return _rows_template(res) % tuple(uv)
 
 
 @dataclass

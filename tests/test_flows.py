@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import field_derivative_bound, reversed_flow
-from rflowlab.flows import LAMBDA_PLUS, field_norm, get_flow, sample_points
+from rflowlab.flows import (FLOW_NAMES, LAMBDA_PLUS, field_norm, get_flow,
+                            sample_points)
 
 TORUS = get_flow("solid_torus")
 CAT = get_flow("cat_suspension")
@@ -114,25 +115,51 @@ def _batch(draw_kind, n, rng):
     return coords
 
 
+def _redrawn(f, coords, rng):
+    """coords with every coordinate that neither ``f.field`` nor ``f.switch``
+    declares it reads drawn again, the NaN entries included."""
+    out = rng.uniform(-6.0, 6.0, size=coords.shape)
+    read = [*f.field.axes, *getattr(f.switch, "axes", ())]
+    out[:, read] = coords[:, read]
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(flow=st.sampled_from((TORUS, CAT, RIGID)), n=st.integers(1, 8),
        kind=st.sampled_from(("random", "shared_x", "signed_zero", "nan_row")),
        seed=st.integers(0, 2**16), layout=st.sampled_from(("C", "F")))
 def test_field_of_a_batch_is_the_stack_of_its_rows(flow, n, kind, seed, layout):
     """A 2-D batch keeps its shape and gives each row the bits of the row
-    alone; a batch of more than two rows that all get one value shares one
-    row, and a shared result cannot be written into."""
-    coords = np.asarray(_batch(kind, n, np.random.default_rng(seed)),
-                        order=layout)
+    alone, and the field reads no coordinate outside its ``axes``."""
+    rng = np.random.default_rng(seed)
+    coords = np.asarray(_batch(kind, n, rng), order=layout)
     out = flow.field(coords)
     assert out.shape == coords.shape
     alone = np.stack([flow.field(coords[i:i + 1])[0] for i in range(n)])
     assert np.array_equal(out.view(np.int64), alone.view(np.int64))
     assert np.array_equal(out.view(np.int64),
                           np.stack([flow.field(c) for c in coords]).view(np.int64))
-    one_value = flow is not TORUS or kind in ("shared_x", "signed_zero")
-    if n > 2 and one_value:
-        assert out.strides[0] == 0
-    if out.strides[0] == 0:
-        with pytest.raises(ValueError):
-            out[0, 0] = 1.0
+    redrawn = np.asarray(_redrawn(flow, coords, rng), order=layout)
+    assert np.array_equal(flow.field(redrawn).view(np.int64), out.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(FLOW_NAMES), n=st.integers(1, 8),
+       kind=st.sampled_from(("random", "shared_x", "signed_zero", "nan_row")),
+       seed=st.integers(0, 2**16))
+def test_declared_axes_are_honest(name, n, kind, seed):
+    """Every catalog field declares the coordinates it reads, and so does
+    every switch: drawing the others again changes no bit of the field's
+    or the switch's value (orbit_batch integrates rows that agree in the
+    declared coordinates once)."""
+    f = get_flow(name)
+    rng = np.random.default_rng(seed)
+    coords = _batch(kind, n, rng)
+    redrawn = _redrawn(f, coords, rng)
+    assert isinstance(f.field.axes, tuple)
+    assert np.array_equal(f.field(redrawn).view(np.int64),
+                          f.field(coords).view(np.int64))
+    if f.switch is not None:
+        assert isinstance(f.switch.axes, tuple)
+        assert np.array_equal(f.switch(redrawn).view(np.int64),
+                              f.switch(coords).view(np.int64))

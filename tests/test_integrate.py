@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import sheared_rotation
 from rflowlab import integrate
 from rflowlab.errors import LeftTube, NoCrossing
 from rflowlab.flows import CAT_MATRIX, get_flow, sample_points
@@ -377,8 +378,8 @@ def test_shared_section_grids_are_bit_identical_to_each_row_alone(
     singular disk (``disk``), and suspension rows that cross the gluing.
     Two chained calls equal each row's own chain, bit for bit, carried step
     included, also when the rows start from different carried steps; and
-    when they start alike, ``_rk_step`` carries every stage of a step of
-    more than two rows as one shared column (a pair is not shared)."""
+    ``_rk_step`` steps one row for rows that start alike, and every row
+    when their carried steps differ."""
     rng = np.random.default_rng(seed)
     if case == "kink":      # sign * x0 in [0.5, 1.1]: before, on or past x = +-1
         flow, x0 = TORUS, sign * (0.5 + 0.6 * mag)
@@ -394,9 +395,8 @@ def test_shared_section_grids_are_bit_identical_to_each_row_alone(
     real = integrate._rk_step
 
     def spy(field, y, f0, h):
-        res = real(field, y, f0, h)
-        calls.append((y.shape[1], [k.shape[1] for k in (*res[3], res[4])]))
-        return res
+        calls.append(y.shape[1])
+        return real(field, y, f0, h)
 
     with mock.patch.object(integrate, "_rk_step", spy):
         first = orbit_batch(flow, pts, times, tol, steps)
@@ -407,10 +407,62 @@ def test_shared_section_grids_are_bit_identical_to_each_row_alone(
         b = orbit_batch(flow, a[:, -1], times, tol, alone)
         assert np.array_equal(a[0], first[i]) and np.array_equal(b[0], second[i])
         assert alone[0] == steps[i]
-    if not carried:
-        wide = [cols for rows, cols in calls if rows > 2]
-        assert all(cols == [1] * 7 for cols in wide)
-        assert wide or n == 2
+    assert calls[0] == n if carried else set(calls) == {1}
+
+
+@settings(max_examples=80, deadline=None)
+@given(flow=st.sampled_from((TORUS, CAT)), seed=st.integers(0, 2**16),
+       n=st.integers(2, 9), tol=st.sampled_from((1e-9, 1e-7)),
+       t=st.floats(0.05, 3.0), sign=st.sampled_from((1.0, -1.0)),
+       mag=st.floats(0.0, 1.0), nan_row=st.booleans(),
+       fractions=st.lists(st.floats(0.01, 1.0), max_size=4))
+def test_mixed_batches_keep_each_rows_solo_bits(flow, seed, n, tol, t, sign,
+                                                mag, nan_row, fractions):
+    """A batch whose rows share the coordinates the flow reads in some
+    places and not in others: the read coordinate (x on the solid torus,
+    the height on the suspension) drawn from a few values, headed across
+    the kink at |x| = 1, toward the singular disk, +0.0 and -0.0; carried
+    steps drawn from NaN, 0.0 and two sizes, so rows of one key can carry
+    different steps; optionally a NaN in an unread coordinate. Each row's
+    samples and carried step equal its solo run's, bit for bit."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([sign * (0.5 + 0.6 * mag), -sign * (1e-12 + 0.5 * mag),
+                     0.0, -0.0])
+    pts = rng.uniform(-0.4, 0.4, size=(n, 3))
+    read = 0 if flow is TORUS else 2
+    pts[:, read] = pool[rng.integers(pool.size, size=n)]
+    if nan_row:
+        pts[rng.integers(n), 1 if read == 0 else 0] = np.nan
+    steps = np.array([np.nan, 0.0, 0.05, 0.4])[rng.integers(4, size=n)]
+    first_steps = steps.copy()
+    times = sign * np.unique(np.r_[[t * x for x in fractions], t])
+    out = orbit_batch(flow, pts, times, tol, steps)
+    for i in range(n):
+        alone = first_steps[i:i + 1].copy()
+        a = orbit_batch(flow, pts[i:i + 1], times, tol, alone)
+        assert np.array_equal(a[0].view(np.int64), out[i].view(np.int64))
+        assert alone.view(np.int64)[0] == steps.view(np.int64)[i]
+
+
+def test_a_replaced_field_runs_every_row():
+    """A field put into a catalog flow with ``dataclasses.replace`` declares
+    no ``axes``, so it inherits none from the flow's own field: on the
+    sheared rotation, whose speed reads y, every row of a section grid
+    normal to x is stepped, and each moves at its own speed."""
+    f = sheared_rotation()
+    y = np.linspace(-0.5, 0.5, 5)
+    pts = np.column_stack([np.full(5, 0.3), y, np.zeros(5)])
+    calls = []
+    real = integrate._rk_step
+
+    def spy(field, y, f0, h):
+        calls.append(y.shape[1])
+        return real(field, y, f0, h)
+
+    with mock.patch.object(integrate, "_rk_step", spy):
+        out = orbit_batch(f, pts, np.array([0.5, 1.0]), 1e-9)
+    assert calls and set(calls) == {5}
+    assert np.allclose(out[:, -1, 0], 0.3 + (1.0 + y ** 2), atol=1e-9)
 
 
 def test_kink_crossing_step_counts_stay_pinned():

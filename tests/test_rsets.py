@@ -784,6 +784,35 @@ def test_grids_marched_together_equal_each_grid_marched_alone(case):
             assert np.array_equal(idx, idx_a) and np.array_equal(pos, pos_a)
 
 
+def test_a_march_steps_one_row_per_grid():
+    """The rows of a solid-torus grid share x and their carried steps, so
+    ``orbit_batch`` integrates them once: a full-grid call steps one row,
+    and a call of several grids at most one row per grid."""
+    pts = _torus_points([0.56, -0.3, 1.2, -1.7, 0.9], 0)
+    calls = []
+    real = integrate._rk_step
+
+    def spy(field, y, f0, h):
+        calls.append(y.shape[1])
+        return real(field, y, f0, h)
+
+    grids = []
+    real_step = rsets._step
+
+    def step(f, call, t, sign, tol):
+        grids.append(len(call))
+        n = len(calls)
+        real_step(f, call, t, sign, tol)
+        assert max(calls[n:], default=0) <= len(call)
+
+    with mock.patch.object(integrate, "_rk_step", spy), \
+            mock.patch.object(rsets, "_step", step):
+        marched = dict(rset_grids(TORUS, pts, 0.1, 1.0, 40, 11, "stable",
+                                  with_components=False))
+    assert sorted(marched) == list(range(len(pts)))
+    assert 1 in grids and max(grids) > 1 and max(calls) <= len(pts)
+
+
 @pytest.mark.parametrize("error", [Timeout, NoCrossing])
 def test_a_failing_grid_of_a_shared_call_fails_as_alone(monkeypatch, error):
     """One grid of a shared ``orbit_batch`` call raises at its step 6: the
